@@ -12,9 +12,8 @@
 //! * `simd_serial` — [`SweepEngine`] over the lane-folded flat-row
 //!   kernels of [`fdm::kernels`];
 //! * `threaded_2` / `threaded_4` — [`ParallelSweepEngine`] with the
-//!   interior strip-decomposed over scoped threads (the threaded engine
-//!   only has the lane-folded path, so `threaded_4` doubles as the
-//!   `simd_threaded` column);
+//!   interior strip-decomposed over scoped threads (lane-folded rows,
+//!   like `simd_serial`);
 //! * `tiled_k2` / `tiled_k4` / `tiled_k8` — [`TiledSweepEngine`] at 4
 //!   threads, fusing k sweeps per cache pass over a skewed row
 //!   wavefront. MLUP/s counts *useful* updates (`interior x k` per
@@ -291,7 +290,7 @@ fn roofline(rows: &[ThroughputRow]) -> Roofline {
             achieved_mlups: top.simd,
         },
         RooflineRow {
-            variant: "simd_threaded".into(),
+            variant: "threaded_4".into(),
             bytes_per_lup: BYTES_PER_LUP_UNTILED,
             attainable_mlups: attainable(BYTES_PER_LUP_UNTILED),
             achieved_mlups: top.threaded_4,
@@ -608,7 +607,6 @@ fn render_json(
                  \"simd_serial_mlups\": {:.3},\n      \
                  \"threaded_2_mlups\": {:.3},\n      \
                  \"threaded_4_mlups\": {:.3},\n      \
-                 \"simd_threaded_mlups\": {:.3},\n      \
                  \"tiled_k2_mlups\": {:.3},\n      \
                  \"tiled_k4_mlups\": {:.3},\n      \
                  \"tiled_k8_mlups\": {:.3},\n      \
@@ -622,7 +620,6 @@ fn render_json(
                 r.scalar_rows,
                 r.simd,
                 r.threaded_2,
-                r.threaded_4,
                 r.threaded_4,
                 r.tiled[0],
                 r.tiled[1],
@@ -748,7 +745,7 @@ fn validate(path: &str) -> Result<(), String> {
         "\"scalar_baseline_mlups\":",
         "\"kernelized_serial_mlups\":",
         "\"simd_serial_mlups\":",
-        "\"simd_threaded_mlups\":",
+        "\"threaded_4_mlups\":",
         "\"tiled_k2_mlups\":",
         "\"tiled_k4_mlups\":",
         "\"tiled_k8_mlups\":",

@@ -176,6 +176,13 @@ impl<'a> ByteReader<'a> {
     fn exhausted(&self) -> bool {
         self.pos == self.buf.len()
     }
+
+    /// Bytes left to read. Decoders check a claimed element count
+    /// against this before allocating, so a corrupt length field can
+    /// never reserve more memory than the input could fill.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
 }
 
 fn put_u8(out: &mut Vec<u8>, v: u8) {
@@ -210,6 +217,9 @@ fn get_grid(r: &mut ByteReader<'_>) -> Option<Grid2D<f32>> {
     let rows = usize::try_from(r.u64()?).ok()?;
     let cols = usize::try_from(r.u64()?).ok()?;
     let len = rows.checked_mul(cols)?;
+    if len.checked_mul(4)? > r.remaining() {
+        return None;
+    }
     let mut data = Vec::with_capacity(len);
     for _ in 0..len {
         data.push(r.f32_bits()?);
@@ -423,9 +433,6 @@ fn put_stats(out: &mut Vec<u8>, s: &ServiceStats) {
     put_u8(out, u8::from(s.journal_degraded));
     put_u64(out, s.journal_io_errors);
     put_u64(out, s.recovered_jobs);
-    put_u64(out, s.hedges_launched);
-    put_u64(out, s.hedge_wins);
-    put_u64(out, s.hedge_wasted_iterations);
 }
 
 fn get_stats(r: &mut ByteReader<'_>) -> Option<ServiceStats> {
@@ -448,9 +455,6 @@ fn get_stats(r: &mut ByteReader<'_>) -> Option<ServiceStats> {
     };
     s.journal_io_errors = r.u64()?;
     s.recovered_jobs = r.u64()?;
-    s.hedges_launched = r.u64()?;
-    s.hedge_wins = r.u64()?;
-    s.hedge_wasted_iterations = r.u64()?;
     Some(s)
 }
 
@@ -498,21 +502,28 @@ pub struct ServiceStateImage {
     /// counts) behind the honest `retry_after_iterations` hint; a
     /// recovered service reproduces the same hints.
     pub drain_ewma: u64,
-    /// Per-rung rings of recent attempt service times (hedge trigger
-    /// history), indexed by [`Rung::index`]; fixed capacity 8 keeps the
-    /// image `Copy`.
-    pub latency_samples: [[u64; 8]; 7],
-    /// Valid sample count per ring (≤ 8).
-    pub latency_len: [u8; 7],
-    /// Next write position per ring.
-    pub latency_pos: [u8; 7],
 }
 
+/// Payload tag of a [`JournalRecord::Completed`] record.
+const COMPLETED_TAG: u8 = 5;
+
+/// Payload tag of the older `Completed` layout, which also persisted
+/// three race counters and seven per-rung service-time rings. It still
+/// decodes: the fields the service no longer keeps are read and
+/// discarded, so an older journal recovers instead of tearing at its
+/// first completion.
+const LEGACY_COMPLETED_TAG: u8 = 4;
+
+/// Bytes a legacy `Completed` record carries after the stats'
+/// `recovered_jobs` counter: three retired race counters.
+const LEGACY_STATS_TAIL: usize = 3 * 8;
+
+/// Bytes a legacy `Completed` record carries after `drain_ewma`: seven
+/// retired per-rung rings of eight `u64` samples plus their length and
+/// position bytes.
+const LEGACY_IMAGE_TAIL: usize = 7 * 8 * 8 + 7 + 7;
+
 /// One entry in the write-ahead journal.
-// `Completed` inlines the (fixed-size, `Copy`) service state image;
-// boxing it would buy nothing — records are encoded immediately and
-// never held in bulk.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalRecord {
     /// A job was admitted. Written before `submit` returns, so every
@@ -611,7 +622,7 @@ impl JournalRecord {
                 outcome_digest,
                 image,
             } => {
-                put_u8(&mut out, 4);
+                put_u8(&mut out, COMPLETED_TAG);
                 put_u64(&mut out, *id);
                 put_u64(&mut out, *outcome_digest);
                 put_u64(&mut out, image.clock);
@@ -625,17 +636,6 @@ impl JournalRecord {
                     put_u32(&mut out, b.probe_successes);
                 }
                 put_u64(&mut out, image.drain_ewma);
-                for ring in &image.latency_samples {
-                    for v in ring {
-                        put_u64(&mut out, *v);
-                    }
-                }
-                for v in image.latency_len {
-                    put_u8(&mut out, v);
-                }
-                for v in image.latency_pos {
-                    put_u8(&mut out, v);
-                }
             }
         }
         out
@@ -676,13 +676,16 @@ impl JournalRecord {
                     String::from_utf8(r.take(len)?.to_vec()).ok()?
                 },
             },
-            4 => {
+            tag @ (LEGACY_COMPLETED_TAG | COMPLETED_TAG) => {
                 let id = r.u64()?;
                 let outcome_digest = r.u64()?;
                 let clock = r.u64()?;
                 let next_id = r.u64()?;
                 let submitted = r.u64()?;
                 let stats = get_stats(&mut r)?;
+                if tag == LEGACY_COMPLETED_TAG {
+                    r.take(LEGACY_STATS_TAIL)?;
+                }
                 let mut breakers = [BreakerImage::default(); 7];
                 for b in &mut breakers {
                     *b = BreakerImage {
@@ -696,19 +699,8 @@ impl JournalRecord {
                     }
                 }
                 let drain_ewma = r.u64()?;
-                let mut latency_samples = [[0u64; 8]; 7];
-                for ring in &mut latency_samples {
-                    for v in ring.iter_mut() {
-                        *v = r.u64()?;
-                    }
-                }
-                let mut latency_len = [0u8; 7];
-                for v in &mut latency_len {
-                    *v = r.u8()?;
-                }
-                let mut latency_pos = [0u8; 7];
-                for v in &mut latency_pos {
-                    *v = r.u8()?;
+                if tag == LEGACY_COMPLETED_TAG {
+                    r.take(LEGACY_IMAGE_TAIL)?;
                 }
                 JournalRecord::Completed {
                     id,
@@ -720,9 +712,6 @@ impl JournalRecord {
                         stats,
                         breakers,
                         drain_ewma,
-                        latency_samples,
-                        latency_len,
-                        latency_pos,
                     },
                 }
             }
@@ -873,6 +862,9 @@ pub fn decode_engine_image(bytes: &[u8]) -> Option<EngineStateImage> {
     let len = rows.checked_mul(cols)?;
     let width = usize::from(scalar_bytes);
     let read_field = |r: &mut ByteReader<'_>| -> Option<Vec<u64>> {
+        if len.checked_mul(width)? > r.remaining() {
+            return None;
+        }
         let mut field = Vec::with_capacity(len);
         for _ in 0..len {
             let raw = r.take(width)?;
@@ -1207,9 +1199,7 @@ mod tests {
                         served: 1,
                         served_by: [0, 1, 0, 0, 0, 0, 0],
                         journal_io_errors: 3,
-                        hedges_launched: 2,
-                        hedge_wins: 1,
-                        hedge_wasted_iterations: 37,
+                        recovered_jobs: 1,
                         ..ServiceStats::default()
                     },
                     breakers: [
@@ -1232,13 +1222,6 @@ mod tests {
                         BreakerImage::default(),
                     ],
                     drain_ewma: 812,
-                    latency_samples: {
-                        let mut s = [[0u64; 8]; 7];
-                        s[1] = [40, 38, 41, 0, 0, 0, 0, 0];
-                        s
-                    },
-                    latency_len: [0, 3, 0, 0, 0, 0, 0],
-                    latency_pos: [0, 3, 0, 0, 0, 0, 0],
                 },
             },
         ]
@@ -1325,6 +1308,80 @@ mod tests {
             bad[i] ^= 0x01;
             assert!(decode_engine_image(&bad).is_none(), "flip {i}");
         }
+    }
+
+    /// Frames `payload` the way journal records and checkpoint files
+    /// are framed, with a freshly computed CRC.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, payload.len() as u32);
+        put_u32(&mut out, crc32(payload));
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn legacy_completed_record_decodes_by_discarding_retired_fields() {
+        let record = sample_records().pop().unwrap();
+        let payload = record.encode()[8..].to_vec();
+        assert_eq!(payload[0], COMPLETED_TAG);
+        // Tag-4 layout: the same fields plus the retired race counters
+        // after the stats and the retired latency rings at the end.
+        let stats_end = payload.len() - 8 - 7 * 13;
+        let mut legacy = payload[..stats_end].to_vec();
+        legacy[0] = LEGACY_COMPLETED_TAG;
+        legacy.extend_from_slice(&[0xAB; LEGACY_STATS_TAIL]);
+        legacy.extend_from_slice(&payload[stats_end..]);
+        legacy.extend_from_slice(&[0x5C; LEGACY_IMAGE_TAIL]);
+        assert_eq!(legacy.len(), payload.len() + 486);
+        let contents = decode_journal(&framed(&legacy));
+        assert!(!contents.torn);
+        assert_eq!(contents.records, vec![record]);
+        // A legacy record missing any retired byte is still rejected.
+        let contents = decode_journal(&framed(&legacy[..legacy.len() - 1]));
+        assert!(contents.torn);
+    }
+
+    #[test]
+    fn checkpoint_claiming_a_huge_field_decodes_to_none() {
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 1 << 20);
+        put_u64(&mut payload, 1 << 20);
+        put_u8(&mut payload, 4);
+        put_u64(&mut payload, 16);
+        put_u8(&mut payload, 0);
+        let bytes = framed(&payload);
+        assert_eq!(bytes.len(), 34);
+        assert!(decode_engine_image(&bytes).is_none());
+    }
+
+    #[test]
+    fn submitted_record_claiming_a_huge_grid_decodes_as_torn() {
+        let mut payload = Vec::new();
+        put_u8(&mut payload, 1);
+        for v in [7, 0, 100] {
+            put_u64(&mut payload, v);
+        }
+        put_u8(&mut payload, 0); // Jacobi
+        put_u8(&mut payload, 0); // fixed steps
+        put_u64(&mut payload, 10);
+        put_u8(&mut payload, 0); // no campaign
+        put_u64(&mut payload, 0); // tenant
+        put_u8(&mut payload, 0); // entry rung
+        put_u8(&mut payload, 0); // Laplace
+        for w in [0.25f32, 0.25, 0.0] {
+            put_f32(&mut payload, w);
+        }
+        put_u8(&mut payload, 1); // static offset grid, claimed 2^20 x 2^20
+        put_u64(&mut payload, 1 << 20);
+        put_u64(&mut payload, 1 << 20);
+        let mut stream = sample_records()[0].encode();
+        let whole = stream.len();
+        stream.extend_from_slice(&framed(&payload));
+        let contents = decode_journal(&stream);
+        assert!(contents.torn);
+        assert_eq!(contents.records.len(), 1);
+        assert_eq!(contents.valid_len, whole);
     }
 
     #[test]

@@ -252,15 +252,7 @@ diag_codes! {
     /// but worth seeing.
     TenantQuotaOvercommit =
         ("FDX020", Warn, "per-tenant in-flight quotas overcommit the worker pool"),
-    /// FDX021: hedging is enabled on a chain whose entry rung has no
-    /// rung below it to hedge onto — jobs entering at `Krylov` or the
-    /// terminal `Estimate` can never launch a hedge (the hedge pairs
-    /// are Reference→Parallel, Parallel→Software and Software→Krylov),
-    /// so the configured hedge policy is vacuous: it costs a latency
-    /// ring per rung and arms nothing. Either raise the entry rung or
-    /// drop the hedge configuration.
-    VacuousHedge =
-        ("FDX021", Warn, "hedging enabled on a chain that can never launch a hedge"),
+    // FDX021 (vacuous hedge) is retired with the hedged-attempt feature; never reuse the code.
     /// FDX022: the configured tile depth is incompatible with the job's
     /// grid or strip geometry. The temporally tiled rung fuses
     /// `tile_depth` sweeps per cache pass, and each worker strip
@@ -634,26 +626,18 @@ pub fn lint_journal_collisions(specs: &[ServiceSpec]) -> LintReport {
     report
 }
 
-/// The multi-tenant front-end sizing the FDX020/FDX021 lints verify: a
-/// [`crate::service::frontend::Frontend`]'s worker-pool size, the
-/// registered tenants' in-flight quotas, and whether the worker
-/// template arms hedging on a chain that can actually hedge.
+/// The multi-tenant front-end sizing the FDX020 lint verifies: a
+/// [`crate::service::frontend::Frontend`]'s worker-pool size and the
+/// registered tenants' in-flight quotas.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrontendSpec {
     /// Worker-pool size.
     pub workers: usize,
     /// Registered tenants' `max_in_flight` quotas.
     pub tenant_in_flight_quotas: Vec<usize>,
-    /// Whether the worker template enables hedged retries.
-    pub hedge_enabled: bool,
-    /// Index ([`crate::service::Rung::index`]) of the deepest entry
-    /// rung the front end can assign — the brownout ladder's last step
-    /// when a delay budget arms it, the configured entry otherwise.
-    pub entry_rung_index: usize,
 }
 
-/// Lints a multi-tenant front-end sizing: FDX020 (quota overcommit)
-/// and FDX021 (vacuous hedge).
+/// Lints a multi-tenant front-end sizing: FDX020 (quota overcommit).
 pub fn lint_frontend(spec: &FrontendSpec) -> LintReport {
     let mut report = LintReport::new();
     let promised: usize = spec.tenant_in_flight_quotas.iter().sum();
@@ -676,37 +660,13 @@ pub fn lint_frontend(spec: &FrontendSpec) -> LintReport {
             )),
         );
     }
-    // The hedge pairs are Reference→Parallel, Parallel→Software and
-    // Software→Krylov (the tiled rung at index 3 is not hedge-eligible);
-    // entering at Krylov (5) or Estimate (6) leaves nothing to hedge
-    // onto.
-    if spec.hedge_enabled && spec.entry_rung_index >= 5 {
-        report.push(
-            Diagnostic::new(
-                DiagCode::VacuousHedge,
-                "hedge",
-                format!(
-                    "hedging is enabled but jobs can enter the chain at rung index {} \
-                     (Krylov or the terminal Estimate), past the last hedge pair \
-                     Software→Krylov: such jobs can never launch a hedge, so the \
-                     policy is vacuous for them",
-                    spec.entry_rung_index
-                ),
-            )
-            .suggest(
-                "raise the entry rung above Krylov (or keep brownout from reaching \
-                 Estimate) or drop the hedge configuration"
-                    .to_string(),
-            ),
-        );
-    }
     report
 }
 
 /// Lints a deployment end to end: the accelerator target plus, when one
 /// is sized, the solve service admitting jobs in front of it, plus,
-/// when a multi-tenant front end fronts the pool, its quota/hedge
-/// checks (FDX020/FDX021), plus, when a concrete job is described, the
+/// when a multi-tenant front end fronts the pool, its quota check
+/// (FDX020), plus, when a concrete job is described, the
 /// solve-plan analysis (FDX015–FDX019).
 pub fn lint_full(
     target: &LintTarget,

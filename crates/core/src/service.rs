@@ -463,13 +463,6 @@ pub enum AttemptDisposition {
     /// cheaper part of the chain. Not a backend failure: the breaker is
     /// untouched.
     SkippedBrownout,
-    /// The rung ran as one side of a hedged race and lost: the other
-    /// side produced the answer first and this attempt was cancelled.
-    /// Not a backend failure: the breaker is untouched, and the side's
-    /// iterations are tallied in
-    /// [`ServiceStats::hedge_wasted_iterations`] rather than billed to
-    /// the job's deadline clock.
-    HedgeLost,
     /// The rung ran and failed with this error.
     Failed(FdmaxError),
 }
@@ -609,72 +602,6 @@ impl ServiceReport {
     }
 }
 
-/// Tuning of the deterministic hedged-retry trigger.
-///
-/// When an attempt at a hedge-eligible rung ([`Rung::Reference`],
-/// [`Rung::Parallel`], [`Rung::Software`]) has run for the configured
-/// percentile of that rung's recent service times without finishing,
-/// the service launches the *next* rung of the chain as a hedge and
-/// interleaves both in deterministic virtual time; the first result
-/// wins and the loser is cancelled through its [`CancelToken`]. Only
-/// the winner's virtual completion time is billed to the job's
-/// deadline clock (the hedge models a spare lane); the loser's burned
-/// iterations land in [`ServiceStats::hedge_wasted_iterations`].
-///
-/// [`Rung::Detailed`] never hedges (its fault campaign and recovery
-/// ledger belong to exactly one simulator instance) and a hedge is
-/// never launched at the terminal [`Rung::Estimate`] — a chain whose
-/// next rung is `Estimate` makes the hedge vacuous, which is what the
-/// `FDX021` lint flags.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HedgeConfig {
-    /// Percentile (1–100) of the rung's recent service times used as
-    /// the hedge trigger; 90 hedges the slowest ~10% of attempts.
-    pub percentile: u8,
-    /// Recorded service-time samples a rung needs before hedging arms
-    /// (at most the ring capacity of 8).
-    pub min_samples: u8,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig {
-            percentile: 90,
-            min_samples: 4,
-        }
-    }
-}
-
-/// Ring of recent per-rung attempt service times (iterations) backing
-/// the hedge trigger. Fixed capacity keeps the persisted service image
-/// `Copy` and recovery bit-exact.
-#[derive(Clone, Copy, Debug, Default)]
-struct LatencyRing {
-    samples: [u64; 8],
-    len: u8,
-    pos: u8,
-}
-
-impl LatencyRing {
-    fn push(&mut self, v: u64) {
-        self.samples[usize::from(self.pos)] = v;
-        self.pos = (self.pos + 1) % 8;
-        self.len = (self.len + 1).min(8);
-    }
-
-    /// The `pct`-th percentile of the recorded samples (nearest-rank on
-    /// the sorted window); `None` while empty.
-    fn percentile(&self, pct: u8) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut sorted = self.samples[..usize::from(self.len)].to_vec();
-        sorted.sort_unstable();
-        let idx = (sorted.len() - 1) * usize::from(pct.min(100)) / 100;
-        Some(sorted[idx])
-    }
-}
-
 /// Tuning of a [`SolveService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
@@ -729,9 +656,6 @@ pub struct ServiceConfig {
     /// which worker ran what; each worker owns its own breakers, so
     /// breaker accounting is per-rung *and* per-worker.
     pub worker_id: u32,
-    /// Deterministic hedged-retry policy; `None` (the default)
-    /// disables hedging.
-    pub hedge: Option<HedgeConfig>,
 }
 
 impl ServiceConfig {
@@ -753,15 +677,7 @@ impl ServiceConfig {
             durability: None,
             admission_analysis: true,
             worker_id: 0,
-            hedge: None,
         }
-    }
-
-    /// Enables deterministic hedged retries.
-    #[must_use]
-    pub fn with_hedge(mut self, hedge: HedgeConfig) -> Self {
-        self.hedge = Some(hedge);
-        self
     }
 
     /// Enables the write-ahead job journal and persisted checkpoints.
@@ -826,15 +742,6 @@ pub struct ServiceStats {
     /// Interrupted jobs re-admitted by
     /// [`SolveService::recover`] over this service's lifetime.
     pub recovered_jobs: u64,
-    /// Hedged retries launched (a slow attempt crossed its latency
-    /// percentile trigger and the next rung was raced against it).
-    pub hedges_launched: u64,
-    /// Hedged retries where the hedge side produced the job's answer.
-    pub hedge_wins: u64,
-    /// Iterations burned by losing race sides. Spare-lane work: never
-    /// billed to any job's deadline clock, tallied here so capacity
-    /// planning sees the overhead hedging really costs.
-    pub hedge_wasted_iterations: u64,
 }
 
 impl ServiceStats {
@@ -877,211 +784,6 @@ struct RungRun {
     recovery: Option<RecoveryReport>,
 }
 
-/// A hedge-eligible (primary, target) rung pair. Making the pairing a
-/// closed enum keeps the engine-type dispatch in
-/// [`SolveService::run_hedged`] total: there is no "other" combination
-/// to fall through to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum HedgePair {
-    /// [`Rung::Reference`] hedged by [`Rung::Parallel`].
-    ReferenceParallel,
-    /// [`Rung::Parallel`] hedged by [`Rung::Software`].
-    ParallelSoftware,
-    /// [`Rung::Software`] hedged by [`Rung::Krylov`] (steady-state
-    /// jobs only).
-    SoftwareKrylov,
-}
-
-impl HedgePair {
-    fn target(self) -> Rung {
-        match self {
-            HedgePair::ReferenceParallel => Rung::Parallel,
-            HedgePair::ParallelSoftware => Rung::Software,
-            HedgePair::SoftwareKrylov => Rung::Krylov,
-        }
-    }
-}
-
-/// Outcome of one deterministic two-engine race (internal).
-struct RaceResult {
-    /// The winning side's result, or the primary side's error when both
-    /// sides failed.
-    result: Result<(bool, Option<Grid2D<f32>>), FdmaxError>,
-    /// Virtual completion time billed to the job: the winner's finish
-    /// on the shared virtual clock (the hedge side starts at the
-    /// trigger offset), capped by the deadline budget both sides share.
-    billed: u64,
-    /// Steps the primary side actually executed.
-    primary_executed: u64,
-    /// Steps the hedge side actually executed (0 when never launched).
-    hedge_executed: u64,
-    /// Whether the hedge side was launched at all.
-    hedge_launched: bool,
-    /// Whether the hedge side produced `result`.
-    hedge_won: bool,
-    /// The primary side's own error when the hedge won or both failed
-    /// (`None` when it was merely cancelled as the losing side).
-    primary_error: Option<FdmaxError>,
-    /// The hedge side's own error when the primary won or both failed
-    /// (`None` when it was merely cancelled as the losing side).
-    hedge_error: Option<FdmaxError>,
-}
-
-/// Races two engines in deterministic virtual time: the primary runs
-/// alone until `hedge_after` steps, then the hedge joins and the side
-/// whose virtual clock trails advances next (ties go to the primary),
-/// in fixed 8-step slices. The first side to terminate successfully
-/// wins and cancels the other through its side-local [`CancelToken`];
-/// `job_cancel` (the job's public token) cancels both. Budgets are
-/// sized so neither side's virtual finish can exceed the job's
-/// remaining deadline budget.
-#[allow(clippy::too_many_arguments)]
-fn race_engines<A: SolveEngine, B: SolveEngine>(
-    stop: &StopCondition,
-    job_cancel: &CancelToken,
-    p_engine: A,
-    p_budget: Budget,
-    p_cancel: &CancelToken,
-    p_solution: fn(A) -> Grid2D<f32>,
-    hedge_after: u64,
-    h_engine: B,
-    h_budget: Budget,
-    h_cancel: &CancelToken,
-    h_solution: fn(B) -> Grid2D<f32>,
-) -> RaceResult {
-    const SLICE: usize = 8;
-    let mut p_sess = Session::new(p_engine, *stop).with_budget(p_budget);
-    // Phase 1: the primary runs alone up to the trigger, in slices so a
-    // job-level cancellation is still observed promptly.
-    let mut p_term: Option<Result<bool, FdmaxError>> = None;
-    while p_term.is_none() && (p_sess.steps_executed() as u64) < hedge_after {
-        if job_cancel.is_cancelled() {
-            p_cancel.cancel();
-        }
-        let rest = (hedge_after - p_sess.steps_executed() as u64).min(SLICE as u64) as usize;
-        match p_sess.run_for(rest) {
-            Ok(fdm::engine::SessionPoll::Done(met)) => p_term = Some(Ok(met)),
-            Ok(fdm::engine::SessionPoll::Yielded) => {}
-            Err(e) => p_term = Some(Err(FdmaxError::from(e))),
-        }
-    }
-    if let Some(terminal) = p_term {
-        // Finished (or failed) before the trigger: no hedge launched.
-        let primary_executed = p_sess.steps_executed() as u64;
-        let (engine, _) = p_sess.into_parts();
-        return RaceResult {
-            result: terminal.map(|met| (met, Some(p_solution(engine)))),
-            billed: primary_executed,
-            primary_executed,
-            hedge_executed: 0,
-            hedge_launched: false,
-            hedge_won: false,
-            primary_error: None,
-            hedge_error: None,
-        };
-    }
-
-    // Phase 2: hedge launched; interleave by virtual time.
-    let mut h_sess = Session::new(h_engine, *stop).with_budget(h_budget);
-    let mut p_term: Option<Result<bool, FdmaxError>> = None;
-    let mut h_term: Option<Result<bool, FdmaxError>> = None;
-    let mut hedge_won: Option<bool> = None;
-    loop {
-        if job_cancel.is_cancelled() {
-            p_cancel.cancel();
-            h_cancel.cancel();
-        }
-        let p_now = p_sess.steps_executed() as u64;
-        let h_now = hedge_after + h_sess.steps_executed() as u64;
-        let advance_primary = match (&p_term, &h_term) {
-            (Some(_), Some(_)) => break,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (None, None) => p_now <= h_now,
-        };
-        if advance_primary {
-            match p_sess.run_for(SLICE) {
-                Ok(fdm::engine::SessionPoll::Done(met)) => {
-                    p_term = Some(Ok(met));
-                    if hedge_won.is_none() {
-                        hedge_won = Some(false);
-                        h_cancel.cancel();
-                    }
-                }
-                Ok(fdm::engine::SessionPoll::Yielded) => {}
-                Err(e) => p_term = Some(Err(FdmaxError::from(e))),
-            }
-        } else {
-            match h_sess.run_for(SLICE) {
-                Ok(fdm::engine::SessionPoll::Done(met)) => {
-                    h_term = Some(Ok(met));
-                    if hedge_won.is_none() {
-                        hedge_won = Some(true);
-                        p_cancel.cancel();
-                    }
-                }
-                Ok(fdm::engine::SessionPoll::Yielded) => {}
-                Err(e) => h_term = Some(Err(FdmaxError::from(e))),
-            }
-        }
-    }
-
-    let primary_executed = p_sess.steps_executed() as u64;
-    let hedge_executed = h_sess.steps_executed() as u64;
-    let is_cancelled = |e: &FdmaxError| matches!(e, FdmaxError::Cancelled { .. });
-    let side_error = |term: &Option<Result<bool, FdmaxError>>| match term {
-        Some(Err(e)) if !is_cancelled(e) => Some(e.clone()),
-        _ => None,
-    };
-    let (p_engine, _) = p_sess.into_parts();
-    let (h_engine, _) = h_sess.into_parts();
-    match hedge_won {
-        Some(false) => {
-            let met = matches!(p_term, Some(Ok(m)) if m);
-            RaceResult {
-                result: Ok((met, Some(p_solution(p_engine)))),
-                billed: primary_executed,
-                primary_executed,
-                hedge_executed,
-                hedge_launched: true,
-                hedge_won: false,
-                primary_error: None,
-                hedge_error: side_error(&h_term),
-            }
-        }
-        Some(true) => {
-            let met = matches!(h_term, Some(Ok(m)) if m);
-            RaceResult {
-                result: Ok((met, Some(h_solution(h_engine)))),
-                billed: hedge_after + hedge_executed,
-                primary_executed,
-                hedge_executed,
-                hedge_launched: true,
-                hedge_won: true,
-                primary_error: side_error(&p_term),
-                hedge_error: None,
-            }
-        }
-        None => {
-            // Both sides failed; the primary's error drives the chain.
-            let p_err = match p_term {
-                Some(Err(e)) => e,
-                _ => FdmaxError::Cancelled { iteration: 0 },
-            };
-            RaceResult {
-                result: Err(p_err),
-                billed: primary_executed.max(hedge_after + hedge_executed),
-                primary_executed,
-                hedge_executed,
-                hedge_launched: true,
-                hedge_won: false,
-                primary_error: None,
-                hedge_error: side_error(&h_term),
-            }
-        }
-    }
-}
-
 /// Durability context threaded into one rung attempt: the journal (if
 /// still healthy), the checkpoint cadence, and an optional persisted
 /// state to resume from.
@@ -1111,8 +813,6 @@ pub struct SolveService {
     /// `retry_after_iterations`. Seeded pessimistically with the
     /// per-job iteration cap until the first completion.
     drain_ewma: u64,
-    /// Recent per-rung service times feeding the hedge trigger.
-    latency: [LatencyRing; 7],
 }
 
 impl SolveService {
@@ -1135,7 +835,6 @@ impl SolveService {
             stats: ServiceStats::default(),
             journal,
             drain_ewma,
-            latency: [LatencyRing::default(); 7],
         };
         service.sync_journal_stats();
         service
@@ -1155,14 +854,6 @@ impl SolveService {
         for (slot, breaker) in breakers.iter_mut().zip(&self.breakers) {
             *slot = breaker.image();
         }
-        let mut latency_samples = [[0u64; 8]; 7];
-        let mut latency_len = [0u8; 7];
-        let mut latency_pos = [0u8; 7];
-        for (i, ring) in self.latency.iter().enumerate() {
-            latency_samples[i] = ring.samples;
-            latency_len[i] = ring.len;
-            latency_pos[i] = ring.pos;
-        }
         ServiceStateImage {
             clock: self.clock,
             next_id: self.next_id,
@@ -1170,9 +861,6 @@ impl SolveService {
             stats: self.stats,
             breakers,
             drain_ewma: self.drain_ewma,
-            latency_samples,
-            latency_len,
-            latency_pos,
         }
     }
 
@@ -1687,150 +1375,6 @@ impl SolveService {
         }
     }
 
-    /// The hedge pair and trigger for an attempt at `rung`, when the
-    /// hedging policy arms: hedging enabled, a hedge-eligible pair, the
-    /// target's breaker closed, no resume image pinning the plain
-    /// checkpointed path, enough latency samples, and a trigger that
-    /// leaves the hedge side a positive budget.
-    fn hedge_plan(&self, job: &Job, rung: Rung, remaining: u64) -> Option<(HedgePair, u64)> {
-        let hedge = self.config.hedge?;
-        let pair = match rung {
-            Rung::Reference => HedgePair::ReferenceParallel,
-            Rung::Parallel => HedgePair::ParallelSoftware,
-            Rung::Software if job.spec.problem.is_steady_state() => HedgePair::SoftwareKrylov,
-            _ => return None,
-        };
-        if !self.breakers[pair.target().index()].admits() {
-            return None;
-        }
-        if job.resume.is_some() {
-            return None;
-        }
-        let ring = &self.latency[rung.index()];
-        if ring.len < hedge.min_samples.min(8) {
-            return None;
-        }
-        let trigger = ring.percentile(hedge.percentile)?;
-        (trigger > 0 && trigger < remaining).then_some((pair, trigger))
-    }
-
-    /// Budget for one side of a hedged race: the side-local token
-    /// replaces the job token (losing a race is not a job
-    /// cancellation); stall-watchdog semantics match
-    /// [`SolveService::budget_for`].
-    fn side_budget(&self, stop: &StopCondition, steps: u64, cancel: CancelToken) -> Budget {
-        let mut budget = Budget::deadline(steps as usize).with_cancel(cancel);
-        if self.config.stall_window > 0 && stop.tolerance_value().is_some() {
-            budget =
-                budget.with_stall_watchdog(self.config.stall_window, self.config.stall_min_decay);
-        }
-        budget
-    }
-
-    /// Runs one hedged attempt: the pair's primary rung races its
-    /// target with the trigger offset. Hedged attempts skip journal
-    /// checkpoints (both sides are restartable from scratch and
-    /// recovery replays the whole job deterministically).
-    fn run_hedged(
-        &self,
-        job: &Job,
-        stop: &StopCondition,
-        remaining: u64,
-        pair: HedgePair,
-        trigger: u64,
-    ) -> RaceResult {
-        let p_cancel = CancelToken::new();
-        let h_cancel = CancelToken::new();
-        let p_budget = self.side_budget(stop, remaining, p_cancel.clone());
-        let h_budget = self.side_budget(stop, remaining - trigger, h_cancel.clone());
-        let no_launch = |result| RaceResult {
-            result: Err(result),
-            billed: 0,
-            primary_executed: 0,
-            hedge_executed: 0,
-            hedge_launched: false,
-            hedge_won: false,
-            primary_error: None,
-            hedge_error: None,
-        };
-        match pair {
-            HedgePair::ReferenceParallel => {
-                let elastic = match ElasticConfig::try_plan(
-                    &self.config.accel,
-                    job.spec.problem.rows(),
-                    job.spec.problem.cols(),
-                ) {
-                    Ok(e) => e,
-                    Err(e) => return no_launch(e),
-                };
-                let primary = HwReferenceEngine::with_elastic(
-                    &self.config.accel,
-                    &job.spec.problem,
-                    job.spec.method,
-                    elastic,
-                );
-                let hedge = ParallelSweepEngine::new(
-                    &job.spec.problem,
-                    job.spec.method.software_equivalent(),
-                    self.config.parallel_threads,
-                );
-                race_engines(
-                    stop,
-                    &job.cancel,
-                    primary,
-                    p_budget,
-                    &p_cancel,
-                    HwReferenceEngine::into_solution,
-                    trigger,
-                    hedge,
-                    h_budget,
-                    &h_cancel,
-                    ParallelSweepEngine::into_solution,
-                )
-            }
-            HedgePair::ParallelSoftware => {
-                let primary = ParallelSweepEngine::new(
-                    &job.spec.problem,
-                    job.spec.method.software_equivalent(),
-                    self.config.parallel_threads,
-                );
-                let hedge =
-                    SweepEngine::new(&job.spec.problem, job.spec.method.software_equivalent());
-                race_engines(
-                    stop,
-                    &job.cancel,
-                    primary,
-                    p_budget,
-                    &p_cancel,
-                    ParallelSweepEngine::into_solution,
-                    trigger,
-                    hedge,
-                    h_budget,
-                    &h_cancel,
-                    SweepEngine::into_solution,
-                )
-            }
-            HedgePair::SoftwareKrylov => {
-                let primary =
-                    SweepEngine::new(&job.spec.problem, job.spec.method.software_equivalent());
-                let hedge = KrylovEngine::new(&job.spec.problem);
-                race_engines(
-                    stop,
-                    &job.cancel,
-                    primary,
-                    p_budget,
-                    &p_cancel,
-                    SweepEngine::into_solution,
-                    trigger,
-                    hedge,
-                    h_budget,
-                    &h_cancel,
-                    KrylovEngine::into_solution,
-                )
-            }
-        }
-    }
-
     fn execute(&mut self, job: &Job) -> ServiceReport {
         // The journal is taken out of `self` for the duration of the
         // job so rung runners can borrow it mutably alongside `&self`.
@@ -1929,166 +1473,6 @@ impl SolveService {
                     });
                 }
 
-                // Hedged dispatch: a slow attempt at a hedge-eligible
-                // rung races the next rung, first result wins.
-                if let Some((pair, trigger)) = self.hedge_plan(job, rung, remaining) {
-                    let race = self.run_hedged(job, &stop, remaining, pair, trigger);
-                    if race.hedge_launched {
-                        if let Some(j) = journal.as_mut() {
-                            j.append(&JournalRecord::AttemptStarted {
-                                id: job.id.0,
-                                rung: pair.target(),
-                                clock: self.clock + trigger,
-                                worker: self.config.worker_id,
-                            });
-                        }
-                        self.stats.hedges_launched += 1;
-                        if race.hedge_won {
-                            self.stats.hedge_wins += 1;
-                            self.stats.hedge_wasted_iterations += race.primary_executed;
-                        } else {
-                            self.stats.hedge_wasted_iterations += race.hedge_executed;
-                        }
-                    }
-                    self.clock += race.billed;
-                    iterations += race.billed;
-                    latency_cycles += self.analytic_cycles(&job.spec, race.billed);
-
-                    let clean = !recovery.as_ref().is_some_and(RecoveryReport::recovered);
-                    // Primary-side attempt record and breaker feed.
-                    let primary_failed = match (&race.result, race.hedge_won) {
-                        (Ok(_), false) => {
-                            attempts.push(RungAttempt {
-                                rung,
-                                disposition: AttemptDisposition::Served,
-                                iterations: race.primary_executed,
-                            });
-                            None
-                        }
-                        (Ok(_), true) => {
-                            let disposition = match &race.primary_error {
-                                Some(e) => AttemptDisposition::Failed(e.clone()),
-                                None => AttemptDisposition::HedgeLost,
-                            };
-                            attempts.push(RungAttempt {
-                                rung,
-                                disposition,
-                                iterations: race.primary_executed,
-                            });
-                            race.primary_error.clone()
-                        }
-                        (Err(e), _) => {
-                            attempts.push(RungAttempt {
-                                rung,
-                                disposition: AttemptDisposition::Failed(e.clone()),
-                                iterations: race.primary_executed,
-                            });
-                            Some(e.clone())
-                        }
-                    };
-                    // Hedge-side attempt record and breaker feed.
-                    if race.hedge_launched {
-                        let target = pair.target();
-                        if race.hedge_won {
-                            attempts.push(RungAttempt {
-                                rung: target,
-                                disposition: AttemptDisposition::Served,
-                                iterations: race.hedge_executed,
-                            });
-                            if let Some((from, to)) =
-                                self.breakers[target.index()].on_success(clean)
-                            {
-                                self.transitions.push(BreakerTransition {
-                                    at_submission: self.submitted,
-                                    rung: target,
-                                    from,
-                                    to,
-                                });
-                            }
-                        } else {
-                            let disposition = match &race.hedge_error {
-                                Some(e) => AttemptDisposition::Failed(e.clone()),
-                                None => AttemptDisposition::HedgeLost,
-                            };
-                            attempts.push(RungAttempt {
-                                rung: target,
-                                disposition,
-                                iterations: race.hedge_executed,
-                            });
-                            if let Some(err) = &race.hedge_error {
-                                if !matches!(err, FdmaxError::DeadlineExceeded { .. }) {
-                                    if let Some((from, to)) =
-                                        self.breakers[target.index()].on_failure()
-                                    {
-                                        self.transitions.push(BreakerTransition {
-                                            at_submission: self.submitted,
-                                            rung: target,
-                                            from,
-                                            to,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // Primary breaker feed for a genuine failure.
-                    if let Some(err) = &primary_failed {
-                        match err {
-                            FdmaxError::Cancelled { .. } | FdmaxError::DeadlineExceeded { .. } => {}
-                            _ => {
-                                if let Some((from, to)) = self.breakers[rung.index()].on_failure() {
-                                    self.transitions.push(BreakerTransition {
-                                        at_submission: self.submitted,
-                                        rung,
-                                        from,
-                                        to,
-                                    });
-                                }
-                            }
-                        }
-                    }
-
-                    match race.result {
-                        Ok((met, sol)) => {
-                            let (winner, winner_time) = if race.hedge_won {
-                                (pair.target(), race.hedge_executed)
-                            } else {
-                                (rung, race.primary_executed)
-                            };
-                            if !race.hedge_won {
-                                if let Some((from, to)) =
-                                    self.breakers[rung.index()].on_success(clean)
-                                {
-                                    self.transitions.push(BreakerTransition {
-                                        at_submission: self.submitted,
-                                        rung,
-                                        from,
-                                        to,
-                                    });
-                                }
-                            }
-                            self.latency[winner.index()].push(winner_time);
-                            converged = met;
-                            solution = sol;
-                            outcome = Some(JobOutcome::Served {
-                                rung: winner,
-                                degraded: winner != Rung::Detailed,
-                            });
-                            break;
-                        }
-                        Err(err) => {
-                            if matches!(err, FdmaxError::Cancelled { .. }) {
-                                outcome = Some(JobOutcome::Cancelled {
-                                    iteration: iterations,
-                                });
-                                break;
-                            }
-                            last_error = Some(err);
-                            continue;
-                        }
-                    }
-                }
-
                 let dur = DurCtx {
                     journal: journal.as_mut(),
                     checkpoint_every,
@@ -2118,7 +1502,6 @@ impl SolveService {
 
                 match run.result {
                     Ok((met, sol)) => {
-                        self.latency[rung.index()].push(run.executed);
                         let clean = !recovery.as_ref().is_some_and(RecoveryReport::recovered);
                         if let Some((from, to)) = self.breakers[rung.index()].on_success(clean) {
                             self.transitions.push(BreakerTransition {
@@ -2313,13 +1696,6 @@ impl SolveService {
                 *slot = CircuitBreaker::restore(service.config.breaker, b);
             }
             service.drain_ewma = image.drain_ewma;
-            for (i, ring) in service.latency.iter_mut().enumerate() {
-                *ring = LatencyRing {
-                    samples: image.latency_samples[i],
-                    len: image.latency_len[i],
-                    pos: image.latency_pos[i],
-                };
-            }
         }
 
         for (pos, id, admitted_at, deadline_at, spec) in admissions {

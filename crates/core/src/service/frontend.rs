@@ -147,7 +147,7 @@ impl FrontendConfig {
     }
 
     /// This configuration as a [`crate::lint::FrontendSpec`], feeding
-    /// the FDX020/FDX021 lints.
+    /// the FDX020 lint.
     pub fn lint_spec(&self) -> crate::lint::FrontendSpec {
         let quotas = self
             .tenants
@@ -157,32 +157,12 @@ impl FrontendConfig {
         crate::lint::FrontendSpec {
             workers: self.workers.max(1),
             tenant_in_flight_quotas: quotas,
-            hedge_enabled: self.service.hedge.is_some(),
-            entry_rung_index: self.deepest_entry_rung().index(),
         }
     }
 
-    /// Runs the FDX020/FDX021 frontend lints over this configuration.
+    /// Runs the FDX020 frontend lint over this configuration.
     pub fn lint(&self) -> crate::lint::LintReport {
         crate::lint::lint_frontend(&self.lint_spec())
-    }
-
-    /// The deepest entry rung this configuration can assign: the
-    /// brownout ladder's last step when a delay budget arms it for any
-    /// standard-priority tenant, [`Rung::Detailed`] otherwise.
-    fn deepest_entry_rung(&self) -> Rung {
-        let degradable = self.queue_delay_budget > 0
-            && (self.tenants.is_empty()
-                || self.default_tenant.priority == TenantPriority::Standard
-                || self
-                    .tenants
-                    .iter()
-                    .any(|(_, t)| t.priority == TenantPriority::Standard));
-        if degradable {
-            Rung::Estimate
-        } else {
-            Rung::Detailed
-        }
     }
 }
 
@@ -416,7 +396,7 @@ impl Frontend {
         self.tenants.get(&tenant).map(|t| &t.stats)
     }
 
-    /// Sums the workers' own [`ServiceStats`] (hedge tallies included).
+    /// Sums the workers' own [`ServiceStats`].
     pub fn pool_stats(&self) -> ServiceStats {
         let mut total = ServiceStats::default();
         for worker in &self.workers {
@@ -433,9 +413,6 @@ impl Frontend {
             total.journal_degraded |= s.journal_degraded;
             total.journal_io_errors += s.journal_io_errors;
             total.recovered_jobs += s.recovered_jobs;
-            total.hedges_launched += s.hedges_launched;
-            total.hedge_wins += s.hedge_wins;
-            total.hedge_wasted_iterations += s.hedge_wasted_iterations;
         }
         total
     }
@@ -1069,18 +1046,13 @@ mod tests {
     }
 
     #[test]
-    fn frontend_lint_flags_overcommit_and_vacuous_hedge() {
-        let config = FrontendConfig::new(
-            ServiceConfig::new(FdmaxConfig::paper_default())
-                .with_hedge(super::super::HedgeConfig::default()),
-            2,
-        )
-        .with_tenant(TenantId(1), TenantConfig::default())
-        .with_tenant(TenantId(2), TenantConfig::default())
-        .with_queue_delay_budget(100);
+    fn frontend_lint_flags_overcommit() {
+        let config = FrontendConfig::new(ServiceConfig::new(FdmaxConfig::paper_default()), 2)
+            .with_tenant(TenantId(1), TenantConfig::default())
+            .with_tenant(TenantId(2), TenantConfig::default())
+            .with_queue_delay_budget(100);
         let report = config.lint();
         let codes: Vec<_> = report.diagnostics().iter().map(|d| d.code).collect();
         assert!(codes.contains(&crate::lint::DiagCode::TenantQuotaOvercommit));
-        assert!(codes.contains(&crate::lint::DiagCode::VacuousHedge));
     }
 }

@@ -742,10 +742,9 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
     /// state — retry budget, rollback checkpoint, deadline and
     /// wall-clock anchors — carried over exactly, so a run executed in
     /// slices is bit-identical to one executed by a single
-    /// [`Session::run`]. This is the primitive the solve service's
-    /// hedged attempts interleave on: two sessions advance in
-    /// alternating virtual-time slices and the first to finish cancels
-    /// the other.
+    /// [`Session::run`]. A caller that must stay responsive between
+    /// steps (polling a cancellation source, interleaving other work,
+    /// timing slices) drives a run this way.
     ///
     /// [`Session::steps_executed`] accumulates across slices of one run
     /// and resets when a new run begins.

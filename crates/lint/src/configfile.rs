@@ -43,21 +43,16 @@
 //! recovery).
 //!
 //! Files fronted by the multi-tenant worker pool may size it too (any
-//! one key activates the frontend lints, FDX020/FDX021):
+//! one key activates the frontend lint, FDX020):
 //!
-//! | key                       | meaning                              | default  |
-//! |---------------------------|--------------------------------------|----------|
-//! | `workers`                 | worker-pool size                     | 1        |
-//! | `tenant_in_flight_quotas` | quoted CSV of per-tenant quotas      | none     |
-//! | `hedge`                   | `true`/`false`: hedged retries armed | false    |
-//! | `entry_rung`              | deepest entry rung jobs may get      | detailed |
+//! | key                       | meaning                         | default |
+//! |---------------------------|---------------------------------|---------|
+//! | `workers`                 | worker-pool size                | 1       |
+//! | `tenant_in_flight_quotas` | quoted CSV of per-tenant quotas | none    |
 //!
 //! `tenant_in_flight_quotas` is a quoted comma-separated list (the
-//! parser has no array syntax), e.g. `"2, 2, 1"`; `entry_rung` is one
-//! of `"detailed"`, `"reference"`, `"parallel"`, `"tiled"`,
-//! `"software"`, `"krylov"`, `"estimate"`. Quotas summing past
-//! `workers` warn (FDX020); `hedge = true` with an entry rung at or
-//! past `krylov` warns (FDX021, the hedge can never launch).
+//! parser has no array syntax), e.g. `"2, 2, 1"`. Quotas summing past
+//! `workers` warn (FDX020).
 //!
 //! Finally, files may describe the concrete job class the deployment
 //! will run, activating the solve-plan analysis (FDX015–FDX019; any one
@@ -191,8 +186,6 @@ pub fn parse_full(source: &str) -> Result<ParsedConfig, ParseError> {
     let mut journal_dir: Option<String> = None;
     let mut workers: Option<usize> = None;
     let mut tenant_quotas: Option<Vec<usize>> = None;
-    let mut hedge: Option<bool> = None;
-    let mut entry_rung: Option<usize> = None;
     let mut tolerance: Option<f64> = None;
     let mut precision: Option<PrecisionClass> = None;
     let mut steady_state: Option<bool> = None;
@@ -253,39 +246,6 @@ pub fn parse_full(source: &str) -> Result<ParsedConfig, ParseError> {
                     quotas.push(parse_usize(lineno, key, part)?);
                 }
                 tenant_quotas = Some(quotas);
-            }
-            "hedge" => {
-                hedge = match unquote(value).to_ascii_lowercase().as_str() {
-                    "true" => Some(true),
-                    "false" => Some(false),
-                    other => {
-                        return Err(err(
-                            lineno,
-                            format!("hedge must be true or false, got `{other}`"),
-                        ))
-                    }
-                }
-            }
-            "entry_rung" => {
-                entry_rung = match unquote(value).to_ascii_lowercase().as_str() {
-                    "detailed" => Some(0),
-                    "reference" => Some(1),
-                    "parallel" => Some(2),
-                    "tiled" => Some(3),
-                    "software" => Some(4),
-                    "krylov" => Some(5),
-                    "estimate" => Some(6),
-                    other => {
-                        return Err(err(
-                            lineno,
-                            format!(
-                                "entry_rung must be \"detailed\", \"reference\", \
-                                 \"parallel\", \"tiled\", \"software\", \"krylov\" \
-                                 or \"estimate\", got `{other}`"
-                            ),
-                        ))
-                    }
-                }
             }
             "tolerance" => tolerance = Some(parse_f64(lineno, key, value)?),
             "scale" => scale = Some(parse_f64(lineno, key, value)?),
@@ -366,16 +326,10 @@ pub fn parse_full(source: &str) -> Result<ParsedConfig, ParseError> {
         None
     };
 
-    let frontend = if workers.is_some()
-        || tenant_quotas.is_some()
-        || hedge.is_some()
-        || entry_rung.is_some()
-    {
+    let frontend = if workers.is_some() || tenant_quotas.is_some() {
         Some(FrontendSpec {
             workers: workers.unwrap_or(1),
             tenant_in_flight_quotas: tenant_quotas.unwrap_or_default(),
-            hedge_enabled: hedge.unwrap_or(false),
-            entry_rung_index: entry_rung.unwrap_or(0),
         })
     } else {
         None
@@ -541,9 +495,7 @@ mod tests {
         let p = parse_full(
             "[frontend]\n\
              workers = 4\n\
-             tenant_in_flight_quotas = \"2, 2, 1\"\n\
-             hedge = true\n\
-             entry_rung = \"krylov\"\n",
+             tenant_in_flight_quotas = \"2, 2, 1\"\n",
         )
         .unwrap();
         assert_eq!(
@@ -551,14 +503,8 @@ mod tests {
             Some(FrontendSpec {
                 workers: 4,
                 tenant_in_flight_quotas: vec![2, 2, 1],
-                hedge_enabled: true,
-                entry_rung_index: 5,
             })
         );
-
-        // The tiled rung sits between parallel and software.
-        let p = parse_full("entry_rung = \"tiled\"\n").unwrap();
-        assert_eq!(p.frontend.unwrap().entry_rung_index, 3);
 
         // One key is enough; the rest default.
         let p = parse_full("workers = 2\n").unwrap();
@@ -567,16 +513,15 @@ mod tests {
             Some(FrontendSpec {
                 workers: 2,
                 tenant_in_flight_quotas: Vec::new(),
-                hedge_enabled: false,
-                entry_rung_index: 0,
             })
         );
         assert_eq!(parse_full("pe_rows = 8\n").unwrap().frontend, None);
 
-        let e = parse_full("hedge = maybe\n").unwrap_err();
-        assert!(e.message.contains("true or false"));
-        let e = parse_full("entry_rung = \"metal\"\n").unwrap_err();
-        assert!(e.message.contains("entry_rung"));
+        // Keys of the retired race policy are rejected like any typo.
+        for retired in ["hedge = true\n", "entry_rung = \"krylov\"\n"] {
+            let e = parse_full(retired).unwrap_err();
+            assert!(e.message.contains("unknown key"), "{}", e.message);
+        }
         let e = parse_full("tenant_in_flight_quotas = \"2, x\"\n").unwrap_err();
         assert!(e.message.contains("non-negative integer"));
     }

@@ -24,8 +24,8 @@ solve service (queue_capacity / max_job_iterations /
 deadline_iterations / checkpoint_every / journal_dir) get the
 service-overcommit (FDX011) and durability (FDX013) checks too; files
 that size the multi-tenant front end (workers /
-tenant_in_flight_quotas / hedge / entry_rung) get the quota-overcommit
-(FDX020) and vacuous-hedge (FDX021) checks; files that describe a job
+tenant_in_flight_quotas) get the quota-overcommit (FDX020) check;
+files that describe a job
 class (tolerance / precision / pde / job_iterations / parallel_threads
 / scale / tile_depth) get the solve-plan analysis (FDX015..FDX019) and
 the tiling-geometry check (FDX022); when several

@@ -10,8 +10,7 @@
 //! than twice the pool's service rate, one of them an adversarial
 //! flooder), and emits `BENCH_service.json` with throughput, latency
 //! percentiles, the fallback rate, the recovery counts and the
-//! `overload` block (shed rate, per-tenant queueing-delay percentiles,
-//! hedge win rate).
+//! `overload` block (shed rate, per-tenant queueing-delay percentiles).
 //!
 //! Every reported metric lives in the *simulated* domain (cycles at the
 //! configured clock), so the artifact is bit-reproducible: CI regenerates
@@ -28,8 +27,7 @@ use fdmax::durability::{decode_journal, DurabilityConfig, JournalRecord, JOURNAL
 use fdmax::resilience::ResiliencePolicy;
 use fdmax::service::frontend::{Frontend, FrontendConfig, TenantConfig, TenantPriority};
 use fdmax::service::{
-    HedgeConfig, JobOutcome, JobSpec, Rung, ServiceConfig, ServiceReport, SolveService,
-    SubmitError, TenantId,
+    JobOutcome, JobSpec, Rung, ServiceConfig, ServiceReport, SolveService, SubmitError, TenantId,
 };
 use memmodel::faults::{EccMode, FaultCampaign};
 use std::path::Path;
@@ -209,8 +207,8 @@ const STANDARD: TenantId = TenantId(2);
 const FLOOD: TenantId = TenantId(3);
 
 /// Mixed-PDE job stream for the overload scenario: small grids and
-/// varied step counts (so the hedge trigger sees real latency spread),
-/// entered at the reference rung to keep 12k jobs tractable.
+/// varied step counts, entered at the reference rung to keep 12k jobs
+/// tractable.
 fn overload_spec(i: u64) -> JobSpec {
     let kind = KINDS[(i % 4) as usize];
     let n = 8 + (i as usize * 5) % 9;
@@ -228,10 +226,6 @@ fn overload_frontend() -> Frontend {
     let mut service = ServiceConfig::new(FdmaxConfig::paper_default());
     service.max_job_iterations = 64;
     service.deadline_iterations = 4_000;
-    service = service.with_hedge(HedgeConfig {
-        percentile: 75,
-        min_samples: 4,
-    });
     let config = FrontendConfig::new(service, OVERLOAD_WORKERS)
         .with_tenant(
             CRITICAL,
@@ -285,18 +279,12 @@ struct OverloadRow {
     deadline_misses: u64,
     brownout_dispatches: u64,
     rounds: u64,
-    hedges_launched: u64,
-    hedge_wins: u64,
     tenants: Vec<OverloadTenantRow>,
 }
 
 impl OverloadRow {
     fn shed_rate(&self) -> f64 {
         self.shed as f64 / self.offered.max(1) as f64
-    }
-
-    fn hedge_win_rate(&self) -> f64 {
-        self.hedge_wins as f64 / self.hedges_launched.max(1) as f64
     }
 }
 
@@ -322,7 +310,6 @@ fn overload_scenario() -> OverloadRow {
     let _ = fe.drain();
 
     let stats = fe.stats();
-    let pool = fe.pool_stats();
     let tenants = [
         (CRITICAL, "critical"),
         (STANDARD, "standard"),
@@ -353,8 +340,6 @@ fn overload_scenario() -> OverloadRow {
         deadline_misses: stats.deadline_misses,
         brownout_dispatches: stats.brownout_dispatches,
         rounds: stats.rounds,
-        hedges_launched: pool.hedges_launched,
-        hedge_wins: pool.hedge_wins,
         tenants,
     }
 }
@@ -391,8 +376,7 @@ fn overload_json(o: &OverloadRow) -> String {
          \"completed\": {},\n    \"shed\": {},\n    \"rejected_quota\": {},\n    \
          \"shed_rate\": {:.6},\n    \"deadline_misses\": {},\n    \
          \"brownout_dispatches\": {},\n    \"scheduler_rounds\": {},\n    \
-         \"hedges_launched\": {},\n    \"hedge_wins\": {},\n    \
-         \"hedge_win_rate\": {:.6},\n    \"per_tenant\": [\n{per_tenant}\n    ]\n  }}",
+         \"per_tenant\": [\n{per_tenant}\n    ]\n  }}",
         OVERLOAD_WORKERS,
         o.offered,
         o.admitted,
@@ -403,9 +387,6 @@ fn overload_json(o: &OverloadRow) -> String {
         o.deadline_misses,
         o.brownout_dispatches,
         o.rounds,
-        o.hedges_launched,
-        o.hedge_wins,
-        o.hedge_win_rate(),
     )
 }
 
@@ -544,12 +525,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t.p99_delay
         );
     }
-    println!(
-        "  hedging: {} launched, {} won (win rate {:.3})",
-        overload.hedges_launched,
-        overload.hedge_wins,
-        overload.hedge_win_rate()
-    );
 
     all_latencies.sort_unstable();
     let submitted = SEEDS.len() as u64 * JOBS_PER_SEED;

@@ -1,6 +1,6 @@
 //! Property suite for the multi-tenant front end
 //! ([`fdmax::service::frontend`]): no starvation under scarce workers,
-//! quotas as hard bounds, deterministic shed/brownout/hedge decisions
+//! quotas as hard bounds, deterministic shed/brownout decisions
 //! under replay, a 10k-job mixed-tenant soak with bounded queue
 //! memory and zero deadline misses for admitted jobs, and a
 //! mid-overload kill/recover cycle whose replayed digests match the
@@ -21,7 +21,7 @@ use fdmax::resilience::ResiliencePolicy;
 use fdmax::service::frontend::{
     Frontend, FrontendConfig, FrontendReport, TenantConfig, TenantPriority,
 };
-use fdmax::service::{HedgeConfig, JobSpec, Rung, ServiceConfig, TenantId};
+use fdmax::service::{JobSpec, Rung, ServiceConfig, TenantId};
 use memmodel::faults::FaultCampaign;
 use std::collections::BTreeMap;
 
@@ -157,22 +157,17 @@ fn quotas_are_never_exceeded() {
     assert_eq!(stats.admitted, stats.completed + stats.cancelled_queued);
 }
 
-/// An overloaded front end with shedding, brownout and hedging all
-/// armed makes bit-identical decisions on replay: two runs from the
-/// same seed produce the same report sequence (tenant, worker, delay,
-/// entry rung, solution digest) and the same stats; a different seed
+/// An overloaded front end with shedding and brownout both armed
+/// makes bit-identical decisions on replay: two runs from the same
+/// seed produce the same report sequence (tenant, worker, delay, entry
+/// rung, solution digest) and the same stats; a different seed
 /// produces a different schedule.
 #[test]
-fn shed_brownout_and_hedge_decisions_replay_bit_identically() {
+fn shed_and_brownout_decisions_replay_bit_identically() {
     /// `(tenant, worker, queue delay, entry rung index, solution digest)`.
     type TraceRow = (u64, u32, u64, usize, u64);
     fn scenario(seed: u64) -> (Vec<TraceRow>, String) {
-        let mut service = base_service();
-        service = service.with_hedge(HedgeConfig {
-            percentile: 75,
-            min_samples: 4,
-        });
-        let config = FrontendConfig::new(service, 2)
+        let config = FrontendConfig::new(base_service(), 2)
             .with_tenant(
                 TenantId(1),
                 TenantConfig {

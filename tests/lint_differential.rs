@@ -25,8 +25,8 @@ use fdmax::array::{OffsetSource, Subarray};
 use fdmax::config::FdmaxConfig;
 use fdmax::elastic::ElasticConfig;
 use fdmax::lint::{
-    lint, lint_frontend, lint_plan, lint_service, DiagCode, FrontendSpec, LintTarget, PlanSpec,
-    ServiceSpec, Severity, ALL_CODES,
+    lint, lint_frontend, lint_plan, lint_service, DiagCode, Diagnostic, FrontendSpec, LintTarget,
+    PlanSpec, ServiceSpec, Severity, ALL_CODES,
 };
 use fdmax::mapping::{col_batches, row_blocks, row_strips, ColBatch, RowRange};
 use fdmax::pe::PeConfig;
@@ -162,15 +162,12 @@ fn every_code_is_reachable_from_the_random_space() {
             seen.insert(d.code);
         }
     }
-    // The front-end lint (FDX020/FDX021) draws from its own sizing
-    // space.
+    // The front-end lint (FDX020) draws from its own sizing space.
     for _ in 0..200 {
         let tenants = rng.gen_range(0, 5);
         let spec = FrontendSpec {
             workers: rng.gen_range(1, 5),
             tenant_in_flight_quotas: (0..tenants).map(|_| rng.gen_range(1, 5)).collect(),
-            hedge_enabled: rng.gen_bool(0.5),
-            entry_rung_index: rng.gen_range(0, 7),
         };
         for d in lint_frontend(&spec).diagnostics() {
             seen.insert(d.code);
@@ -1344,66 +1341,6 @@ fn fdx020_witness_tenant_quota_overcommit() {
     );
 }
 
-/// FDX021: a hedged chain entered at the Krylov rung is vacuous — the
-/// hedge pairs live at Reference/Parallel/Software, so no attempt can
-/// ever arm the trigger — while the identical hedge policy on a
-/// Reference-entry chain demonstrably launches a race under the same
-/// job mix.
-#[test]
-fn fdx021_witness_vacuous_hedge() {
-    use fdmax::service::{HedgeConfig, JobSpec, Rung, ServiceConfig, ServiceStats, SolveService};
-
-    // Statically: hedge + Krylov entry warns, hedge + Reference entry
-    // is clean (the disabled-hedge spec is always clean).
-    let spec = |entry: Rung| FrontendSpec {
-        workers: 1,
-        tenant_in_flight_quotas: Vec::new(),
-        hedge_enabled: true,
-        entry_rung_index: entry.index(),
-    };
-    let report = lint_frontend(&spec(Rung::Krylov));
-    assert!(
-        report.has(DiagCode::VacuousHedge),
-        "hedge + Krylov entry is vacuous:\n{report}"
-    );
-    assert!(!lint_frontend(&spec(Rung::Reference)).has(DiagCode::VacuousHedge));
-
-    // Dynamically: the same hedge policy (arm at four samples, hedge
-    // the slowest half) over the same job mix — four quick solves to
-    // seed the entry rung's latency ring, then one slow enough to
-    // outlast the trigger.
-    let hedged = |entry: Rung| -> ServiceStats {
-        let config = ServiceConfig::new(FdmaxConfig::paper_default()).with_hedge(HedgeConfig {
-            percentile: 50,
-            min_samples: 4,
-        });
-        let mut svc = SolveService::new(config);
-        for steps in [4, 4, 4, 4, 64] {
-            let sp = benchmark_problem::<f32>(PdeKind::Laplace, 12, 0).unwrap();
-            let _ = svc.submit(
-                JobSpec::new(
-                    sp,
-                    HwUpdateMethod::Jacobi,
-                    StopCondition::fixed_steps(steps),
-                )
-                .with_entry_rung(entry),
-            );
-        }
-        let _ = svc.drain();
-        svc.stats()
-    };
-    let live = hedged(Rung::Reference);
-    assert!(
-        live.hedges_launched >= 1,
-        "the Reference-entry chain races its slow attempt: {live:?}"
-    );
-    let vacuous = hedged(Rung::Krylov);
-    assert_eq!(
-        vacuous.hedges_launched, 0,
-        "the Krylov-entry chain never launches a hedge: {vacuous:?}"
-    );
-}
-
 /// FDX022: the tile-depth geometry findings are operational facts.
 ///
 /// * A depth at or past the interior height (Error) really does
@@ -1438,7 +1375,7 @@ fn fdx022_witness_tile_depth_geometry() {
             .diagnostics()
             .iter()
             .filter(|d| d.code == DiagCode::TileDepthGeometry)
-            .map(|d| d.severity())
+            .map(Diagnostic::severity)
             .collect()
     };
 
@@ -1468,7 +1405,7 @@ fn fdx022_witness_tile_depth_geometry() {
     let tiled = TiledSweepEngine::new(&sp, UpdateMethod::Jacobi, 4, 7);
     let bands = tiled.bands().len();
     assert!(
-        bands < 7 && bands <= 17 / 4,
+        bands <= 17 / 4,
         "the halo-aware split sheds parallelism: {bands} bands"
     );
 

@@ -20,10 +20,16 @@
 //!    re-admit;
 //! 5. an unwritable journal directory degrades the service loudly
 //!    (stats flag) without failing a single job, and recovery from the
-//!    broken path still yields a working, degraded service.
+//!    broken path still yields a working, degraded service;
+//! 6. a journal in the older `Completed` layout (tag 4) still recovers
+//!    to the digests it was written with;
+//! 7. a checkpoint with a valid checksum but an impossible field size
+//!    is refused without allocating for it, and its job replays from
+//!    iteration zero.
 
 use detrng::DetRng;
 use fdm::convergence::StopCondition;
+use fdm::io::crc32;
 use fdm::pde::PdeKind;
 use fdm::workload::benchmark_problem;
 use fdmax::accelerator::HwUpdateMethod;
@@ -299,4 +305,155 @@ fn unwritable_journal_dir_degrades_without_failing_jobs() {
     assert!(svc.stats().journal_degraded);
     assert_eq!(summary.jobs_recovered, 0);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The committed journal under `tests/fixtures/legacy_journal_v4` was
+/// written in the older `Completed` layout (payload tag 4), which also
+/// carried three race counters and seven per-rung service-time rings.
+/// It holds two completed jobs and a third interrupted after its only
+/// checkpoint; `digests.txt` lists the report digest of each job from
+/// the uninterrupted run that produced it.
+fn legacy_fixture() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/legacy_journal_v4")
+}
+
+/// The service configuration the legacy fixture was written under:
+/// the checkpointing campaign with a 16-iteration cadence.
+fn legacy_config(dir: &Path) -> ServiceConfig {
+    let mut cfg = checkpointing_config(dir);
+    cfg.durability = Some(
+        DurabilityConfig::new(dir)
+            .with_checkpoint_every(16)
+            .with_fsync_policy(FsyncPolicy::Never),
+    );
+    cfg
+}
+
+#[test]
+fn legacy_tag4_journal_recovers_to_its_committed_digests() {
+    let fixture = legacy_fixture();
+    let digests: BTreeMap<u64, u64> = std::fs::read_to_string(fixture.join("digests.txt"))
+        .unwrap()
+        .lines()
+        .map(|line| {
+            let (id, digest) = line.split_once(' ').unwrap();
+            (
+                id.parse().unwrap(),
+                u64::from_str_radix(digest, 16).unwrap(),
+            )
+        })
+        .collect();
+    let journal = std::fs::read(fixture.join("journal.fdx")).unwrap();
+
+    // The fixture really is the older layout: every completion is a
+    // tag-4 frame whose trailing ring bytes are not all zero.
+    let mut legacy_frames = 0;
+    let mut pos = 0;
+    while pos < journal.len() {
+        let len = u32::from_le_bytes(journal[pos..pos + 4].try_into().unwrap()) as usize;
+        let payload = &journal[pos + 8..pos + 8 + len];
+        assert_ne!(payload[0], 5, "the fixture holds no new-layout completion");
+        if payload[0] == 4 {
+            legacy_frames += 1;
+            assert!(payload[payload.len() - 462..].iter().any(|&b| b != 0));
+        }
+        pos += 8 + len;
+    }
+    assert!(legacy_frames >= 2);
+
+    let contents = decode_journal(&journal);
+    assert!(!contents.torn, "a tag-4 completion is not a torn tail");
+    assert_eq!(contents.valid_len, journal.len());
+    let mut completed = 0;
+    let mut checkpoints = 0;
+    for record in &contents.records {
+        match record {
+            JournalRecord::Completed {
+                id, outcome_digest, ..
+            } => {
+                assert_eq!(*outcome_digest, digests[id], "job {id}");
+                completed += 1;
+            }
+            JournalRecord::CheckpointTaken { .. } => checkpoints += 1,
+            _ => {}
+        }
+    }
+    assert_eq!(completed, legacy_frames);
+    assert_eq!(checkpoints, 1);
+
+    // Recovery appends to the journal, so it runs on a copy.
+    let dir = tmpdir("legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let (mut svc, summary) = SolveService::recover(legacy_config(&dir));
+    assert!(!summary.torn_tail);
+    assert_eq!(summary.jobs_completed, completed as u64);
+    assert_eq!(summary.jobs_recovered, 1);
+    assert_eq!(summary.resumed_from_checkpoint, 1);
+    let reports = svc.drain();
+    assert_eq!(reports.len(), 1);
+    for report in &reports {
+        assert_eq!(report.digest(), digests[&report.job.0], "{}", report.job);
+    }
+
+    // The resumed job's completion lands in the new layout after the
+    // old frames, and the mixed journal still scans whole.
+    drop(svc);
+    let mixed = decode_journal(&std::fs::read(dir.join("journal.fdx")).unwrap());
+    assert!(!mixed.torn);
+    let completions = mixed
+        .records
+        .iter()
+        .filter(|r| matches!(r, JournalRecord::Completed { .. }))
+        .count();
+    assert_eq!(completions, digests.len());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// DESIGN.md §12: a corrupt checkpoint replays from zero. A checkpoint
+/// with a valid checksum that claims a 2^20 x 2^20 field is corrupt
+/// too: decoding refuses it without reserving memory for the claim, and
+/// recovery replays its job from iteration zero to the digest of the
+/// uninterrupted run.
+#[test]
+fn checkpoint_claiming_a_huge_field_replays_from_zero() {
+    let base = tmpdir("huge-base");
+    let (digests, journal) = baseline(checkpointing_config(&base), &base);
+    let contents = decode_journal(&journal);
+    let last = contents
+        .records
+        .iter()
+        .rposition(|r| matches!(r, JournalRecord::CheckpointTaken { .. }))
+        .expect("the checkpointing workload checkpoints");
+    let JournalRecord::CheckpointTaken { snapshot_ref, .. } = &contents.records[last] else {
+        unreachable!()
+    };
+    let cut = frame_boundaries(&journal)[last + 1];
+    let dir = crash_dir(&base, "huge-cut", &journal, cut);
+
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&(1u64 << 20).to_le_bytes());
+    payload.extend_from_slice(&(1u64 << 20).to_le_bytes());
+    payload.push(4);
+    payload.extend_from_slice(&16u64.to_le_bytes());
+    payload.push(0);
+    let mut crafted = (payload.len() as u32).to_le_bytes().to_vec();
+    crafted.extend_from_slice(&crc32(&payload).to_le_bytes());
+    crafted.extend_from_slice(&payload);
+    assert_eq!(crafted.len(), 34);
+    std::fs::write(dir.join(snapshot_ref), &crafted).unwrap();
+
+    let (mut svc, summary) = SolveService::recover(checkpointing_config(&dir));
+    assert!(summary.jobs_recovered >= 1);
+    assert_eq!(summary.resumed_from_checkpoint, 0, "replays from zero");
+    let reports = svc.drain();
+    assert_eq!(reports.len() as u64, summary.jobs_recovered);
+    for report in &reports {
+        assert_eq!(report.digest(), digests[&report.job.0], "{}", report.job);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&base).unwrap();
 }
