@@ -12,8 +12,8 @@
 //! * `simd_serial` — [`SweepEngine`] over the lane-folded flat-row
 //!   kernels of [`fdm::kernels`];
 //! * `threaded_2` / `threaded_4` — [`ParallelSweepEngine`] with the
-//!   interior strip-decomposed over scoped threads (lane-folded rows,
-//!   like `simd_serial`);
+//!   interior strip-decomposed over persistent band workers (lane-folded
+//!   rows, like `simd_serial`; the warm-up step starts the workers);
 //! * `tiled_k2` / `tiled_k4` / `tiled_k8` — [`TiledSweepEngine`] at 4
 //!   threads, fusing k sweeps per cache pass over a skewed row
 //!   wavefront. MLUP/s counts *useful* updates (`interior x k` per
@@ -25,6 +25,9 @@
 //! untiled sweep at 12 bytes/LUP (f32 read + write-allocate + write)
 //! and the k-deep tile at 12/k, and each variant's achieved MLUP/s is
 //! reported against its attainable ceiling.
+//!
+//! A `host` block records what the timings were measured on: the
+//! available parallelism and the CPU model.
 //!
 //! A timing-free *identity* section records residual-norm or
 //! field-checksum **bit patterns** per variant, each row tagged with its
@@ -591,6 +594,22 @@ fn matrix_free_cg_identity() -> IdentityRow {
     }
 }
 
+/// The `host` block: available parallelism and the CPU model named by
+/// `/proc/cpuinfo` (`"unknown"` where that file is absent).
+fn host_json() -> String {
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+        .map_or("unknown", |(_, m)| m.trim())
+        .replace(['"', '\\'], "");
+    format!(
+        "  \"host\": {{\n    \"available_parallelism\": {threads},\n    \
+         \"cpu_model\": \"{model}\"\n  }}"
+    )
+}
+
 fn render_json(
     mode: &str,
     rows: &[ThroughputRow],
@@ -688,9 +707,10 @@ fn render_json(
         })
         .collect::<Vec<_>>()
         .join(",\n");
+    let host = host_json();
     format!(
         "{{\n  \"benchmark\": \"solver_throughput\",\n  \"mode\": \"{mode}\",\n  \
-         \"element_type\": \"f32\",\n  \"throughput\": [\n{throughput}\n  ],\n\
+         \"element_type\": \"f32\",\n{host},\n  \"throughput\": [\n{throughput}\n  ],\n\
          {roofline},\n  \
          \"identity\": [\n{identity}\n  ]\n}}\n"
     )
@@ -739,6 +759,7 @@ fn validate(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     for key in [
         "\"benchmark\": \"solver_throughput\"",
+        "\"host\":",
         "\"throughput\":",
         "\"roofline\":",
         "\"identity\":",

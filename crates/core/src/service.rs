@@ -203,7 +203,7 @@ pub enum Rung {
     /// Hardware-semantics [`HwReferenceEngine`] (bit-exact, no timing).
     Reference,
     /// Strip-parallel software [`ParallelSweepEngine`]: row bands on
-    /// scoped threads, bit-identical to the serial sweeps.
+    /// persistent band workers, bit-identical to the serial sweeps.
     Parallel,
     /// Temporal wavefront tiling ([`TiledSweepEngine`]): fuses
     /// `tile_depth` sweeps per cache pass over the strip decomposition,

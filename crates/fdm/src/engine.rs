@@ -22,14 +22,19 @@
 
 use crate::convergence::{Divergence, ResidualHistory, StopCondition};
 use crate::grid::Grid2D;
+use crate::kernels::{checkerboard_row, jacobi_row, tri_rows_mut, OffsetRow};
 use crate::pde::{OffsetField, StencilProblem};
 use crate::precision::Scalar;
 use crate::solver::{
     sweep_checkerboard, sweep_gauss_seidel, sweep_hybrid, sweep_jacobi, sweep_sor, UpdateMethod,
 };
+use crate::stencil::FivePointStencil;
 use core::fmt;
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A hardware fault surfaced by one engine step, for the driver's
@@ -941,7 +946,7 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
 }
 
 /// Copies `cur`'s Dirichlet boundary ring (top/bottom rows, left/right
-/// columns) into `next`.
+/// columns) into `next`; both are row-major and `cols` wide.
 ///
 /// The sweeps only write interior points, so a double-buffered write
 /// target must already carry the right ring. For two-buffer rotations
@@ -951,19 +956,31 @@ impl<'cb, E: SolveEngine> Session<'cb, E> {
 /// the solution whenever `prev_initial` disagrees with `initial` on the
 /// boundary (the numerics never read those cells; only the rotation
 /// exposes them). A bitwise no-op when the rings agree.
-fn refresh_boundary_ring<T: Scalar>(next: &mut Grid2D<T>, cur: &Grid2D<T>) {
-    let (rows, cols) = (cur.rows(), cur.cols());
+fn refresh_boundary_ring<T: Copy>(next: &mut [T], cur: &[T], cols: usize) {
+    let rows = cur.len() / cols.max(1);
     if rows == 0 || cols == 0 {
         return;
     }
-    let src = cur.as_slice();
-    let dst = next.as_mut_slice();
-    dst[..cols].copy_from_slice(&src[..cols]);
-    dst[(rows - 1) * cols..].copy_from_slice(&src[(rows - 1) * cols..]);
+    next[..cols].copy_from_slice(&cur[..cols]);
+    next[(rows - 1) * cols..].copy_from_slice(&cur[(rows - 1) * cols..]);
     for i in 1..rows.saturating_sub(1) {
-        dst[i * cols] = src[i * cols];
-        dst[i * cols + cols - 1] = src[i * cols + cols - 1];
+        next[i * cols] = cur[i * cols];
+        next[i * cols + cols - 1] = cur[i * cols + cols - 1];
     }
+}
+
+/// Whether `problem`'s offset reads the wave history `U^{k-1}`.
+///
+/// # Panics
+///
+/// Panics when it does but the problem carries no `prev_initial`.
+fn uses_prev<T: Scalar>(problem: &StencilProblem<T>) -> bool {
+    let uses = matches!(problem.offset, OffsetField::ScaledPrevField { .. });
+    assert!(
+        !uses || problem.prev_initial.is_some(),
+        "a ScaledPrevField offset requires prev_initial"
+    );
+    uses
 }
 
 /// A snapshot of a [`SweepEngine`]'s rotating buffers.
@@ -1010,16 +1027,10 @@ impl<'p, T: Scalar> SweepEngine<'p, T> {
                 "SOR requires omega in (0, 2), got {omega}"
             );
         }
+        let uses_prev = uses_prev(problem);
         let cur = problem.initial.clone();
         let next = cur.clone();
         let prev = problem.prev_initial.clone();
-        let uses_prev = matches!(problem.offset, OffsetField::ScaledPrevField { .. });
-        if uses_prev {
-            assert!(
-                prev.is_some(),
-                "a ScaledPrevField offset requires prev_initial"
-            );
-        }
         SweepEngine {
             problem,
             method,
@@ -1055,7 +1066,8 @@ impl<T: Scalar> SolveEngine for SweepEngine<'_, T> {
         // The wave rotation cycles `prev_initial`'s buffer in as the
         // write target: re-pin its boundary ring to the solution's.
         if self.uses_prev && matches!(self.method, UpdateMethod::Jacobi | UpdateMethod::Hybrid) {
-            refresh_boundary_ring(&mut self.next, &self.cur);
+            let cols = self.cur.cols();
+            refresh_boundary_ring(self.next.as_mut_slice(), self.cur.as_slice(), cols);
         }
         let diff2 = match self.method {
             UpdateMethod::Jacobi => sweep_jacobi(
@@ -1190,117 +1202,100 @@ impl<T: Scalar> SolveEngine for SweepEngine<'_, T> {
 ///
 /// The grid interior is decomposed into contiguous row bands
 /// ([`crate::kernels::row_bands`]), one per worker, exactly as the elastic
-/// reconfiguration assigns row strips to chained subarrays; the rows
-/// adjacent to a band boundary play the role of the `HaloAdders`' one-row
-/// halo exchange. Bands run on [`std::thread::scope`] — no runtime
-/// dependency — and each band records its per-row diff² partials into a
-/// row-indexed buffer that is folded *in ascending row order* after the
-/// join. Because every row partial is produced by the same
-/// [`crate::kernels`] row kernel the serial [`SweepEngine`] drives, and the
-/// fold order equals the serial accumulation order, Jacobi and
-/// checkerboard results — grids *and* residual histories — are
-/// bit-identical to the serial engine at any thread count.
+/// reconfiguration assigns row strips to chained subarrays. Like the
+/// hardware, which configures its chains once per solve, the engine sets
+/// its bands up once: each band owns a *strip* — its rows of the current,
+/// next, wave-history and static-offset fields plus one halo row on each
+/// side — and a persistent worker thread sweeps it. Workers start on the
+/// first banded step and live until the engine is dropped, which joins
+/// them. One step hands every strip but the first to its worker through a
+/// channel (the buffers move, nothing is copied), sweeps band 0 on the
+/// calling thread, takes the strips back, copies the two halo rows at each
+/// band edge (the `HaloAdders`' one-row exchange) and folds the per-row
+/// diff² partials *in ascending row order*. Because every row partial is
+/// produced by the same [`crate::kernels`] row kernel the serial
+/// [`SweepEngine`] drives, and the fold order equals the serial
+/// accumulation order, Jacobi and checkerboard results — grids *and*
+/// residual histories — are bit-identical to the serial engine at any
+/// thread count.
 ///
 /// * **Jacobi** parallelises trivially: every output row depends only on
 ///   the previous iterate.
 /// * **Checkerboard** parallelises exactly: a phase-`p` update at
 ///   `(i, j)` reads only opposite-parity neighbours, which the running
-///   phase never writes, so pre-phase halo snapshots stay valid for the
-///   whole phase and band-local reads match what a serial ascending
-///   sweep would have seen.
+///   phase never writes, so halo rows exchanged before a phase stay valid
+///   for the whole phase and band-local reads match what a serial
+///   ascending sweep would have seen. Each phase is one round trip.
 /// * **Hybrid, Gauss-Seidel and SOR** carry a loop dependency across
-///   rows; they fall back to the serial kernels (still one band) so the
-///   engine stays a drop-in replacement for every [`UpdateMethod`].
+///   rows; they run on an inner [`SweepEngine`] (one band), as does any
+///   plan with fewer than two bands, so the engine stays a drop-in
+///   replacement for every [`UpdateMethod`].
+///
+/// A panic on a worker thread resurfaces as a panic of
+/// [`SolveEngine::step`] on the calling thread; the engine's state is lost
+/// with the worker's strip, so every later step panics too.
 #[derive(Debug)]
 pub struct ParallelSweepEngine<'p, T: Scalar> {
-    problem: &'p StencilProblem<T>,
     method: UpdateMethod,
     threads: usize,
-    cur: Grid2D<T>,
-    next: Grid2D<T>,
-    prev: Option<Grid2D<T>>,
-    scratch: Option<Grid2D<T>>,
-    uses_prev: bool,
-    iterations: usize,
-    saved: Option<SweepCheckpoint<T>>,
-    /// Interior row bands, recomputed once at construction.
+    /// Interior row bands, computed once at construction.
     bands: Vec<core::ops::Range<usize>>,
-    /// Per-row diff² partials, folded in ascending row order after a
-    /// parallel sweep (index = absolute row).
-    row_diff2: Vec<f64>,
-    /// Pre-phase snapshots of the row above / below each band, refreshed
-    /// per checkerboard phase (the `HaloAdder` analogue).
-    halo_up: Vec<Vec<T>>,
-    halo_down: Vec<Vec<T>>,
+    sweeps: Sweeps<'p, T>,
+}
+
+/// What actually sweeps a [`ParallelSweepEngine`].
+#[derive(Debug)]
+enum Sweeps<'p, T: Scalar> {
+    /// A single band, or a method with a loop dependency across rows.
+    Serial(SweepEngine<'p, T>),
+    /// Two or more bands on persistent workers.
+    Banded(BandedSweeps<T>),
 }
 
 impl<'p, T: Scalar> ParallelSweepEngine<'p, T> {
     /// Prepares a strip-parallel sweep engine on `problem` with at most
     /// `threads` worker bands (clamped to at least 1 and at most the
-    /// interior height).
+    /// interior height). No thread starts until the first step.
     ///
     /// # Panics
     ///
     /// Same conditions as [`SweepEngine::new`].
     pub fn new(problem: &'p StencilProblem<T>, method: UpdateMethod, threads: usize) -> Self {
-        if let UpdateMethod::Sor { omega } = method {
-            assert!(
-                omega > 0.0 && omega < 2.0,
-                "SOR requires omega in (0, 2), got {omega}"
-            );
-        }
-        let cur = problem.initial.clone();
-        let next = cur.clone();
-        let prev = problem.prev_initial.clone();
-        let uses_prev = matches!(problem.offset, OffsetField::ScaledPrevField { .. });
-        if uses_prev {
-            assert!(
-                prev.is_some(),
-                "a ScaledPrevField offset requires prev_initial"
-            );
-        }
         let threads = threads.max(1);
+        let rows = problem.initial.rows();
         let bands = if matches!(method, UpdateMethod::Jacobi | UpdateMethod::Checkerboard) {
-            crate::kernels::row_bands(cur.rows(), threads)
+            crate::kernels::row_bands(rows, threads)
         } else {
-            // Serial-fallback methods keep a single band.
-            crate::kernels::row_bands(cur.rows(), 1)
+            // Methods with a loop dependency across rows keep one band.
+            crate::kernels::row_bands(rows, 1)
         };
-        let (halo_up, halo_down) = if matches!(method, UpdateMethod::Checkerboard) {
-            (
-                bands.iter().map(|_| vec![T::ZERO; cur.cols()]).collect(),
-                bands.iter().map(|_| vec![T::ZERO; cur.cols()]).collect(),
-            )
+        let sweeps = if bands.len() < 2 {
+            Sweeps::Serial(SweepEngine::new(problem, method))
         } else {
-            (Vec::new(), Vec::new())
+            Sweeps::Banded(BandedSweeps::new(problem, method, &bands))
         };
-        let row_diff2 = vec![0.0; cur.rows()];
         ParallelSweepEngine {
-            problem,
             method,
             threads,
-            cur,
-            next,
-            prev,
-            scratch: None,
-            uses_prev,
-            iterations: 0,
-            saved: None,
             bands,
-            row_diff2,
-            halo_up,
-            halo_down,
+            sweeps,
         }
     }
 
     /// The current field `U^k`.
     pub fn solution(&self) -> &Grid2D<T> {
-        &self.cur
+        match &self.sweeps {
+            Sweeps::Serial(e) => e.solution(),
+            Sweeps::Banded(b) => b.solution(),
+        }
     }
 
     /// Consumes the engine, returning the final field.
     pub fn into_solution(self) -> Grid2D<T> {
-        self.cur
+        match self.sweeps {
+            Sweeps::Serial(e) => e.into_solution(),
+            Sweeps::Banded(mut b) => b.gathered.take().unwrap_or_else(|| b.gather(|s| &s.cur)),
+        }
     }
 
     /// The update method being swept.
@@ -1322,197 +1317,345 @@ impl<'p, T: Scalar> ParallelSweepEngine<'p, T> {
         &self.bands
     }
 
-    /// One parallel Jacobi sweep: bands write disjoint chunks of `next`
-    /// and disjoint chunks of the diff² buffer; the fold after the join
-    /// runs in ascending row order, matching the serial accumulation.
-    fn step_jacobi_parallel(&mut self) -> f64 {
-        let problem = self.problem;
-        let stencil = &problem.stencil;
-        let offset = &problem.offset;
-        let prev = self.prev.as_ref();
-        let cur = &self.cur;
-        let (rows, cols) = (cur.rows(), cur.cols());
-        if self.bands.is_empty() {
-            return 0.0;
+    fn engine(&self) -> &dyn SolveEngine {
+        match &self.sweeps {
+            Sweeps::Serial(e) => e,
+            Sweeps::Banded(b) => b,
         }
-        let mut out_rem = &mut self.next.as_mut_slice()[cols..(rows - 1) * cols];
-        let mut d_rem = &mut self.row_diff2[1..rows - 1];
-        let mut work: Vec<(core::ops::Range<usize>, &mut [T], &mut [f64])> =
-            Vec::with_capacity(self.bands.len());
-        for band in &self.bands {
-            let h = band.len();
-            let tmp = core::mem::take(&mut out_rem);
-            let (out, rest) = tmp.split_at_mut(h * cols);
-            out_rem = rest;
-            let tmp = core::mem::take(&mut d_rem);
-            let (d, rest) = tmp.split_at_mut(h);
-            d_rem = rest;
-            work.push((band.clone(), out, d));
-        }
-        let run_band = |band: core::ops::Range<usize>, out: &mut [T], d: &mut [f64]| {
-            for (r, i) in band.enumerate() {
-                let b = crate::kernels::OffsetRow::for_row(offset, prev, i);
-                d[r] = crate::kernels::jacobi_row(
-                    stencil,
-                    cur.row(i - 1),
-                    cur.row(i),
-                    cur.row(i + 1),
-                    b,
-                    &mut out[r * cols..(r + 1) * cols],
-                );
-            }
-        };
-        if work.len() == 1 {
-            let (band, out, d) = work.pop().expect("one band");
-            run_band(band, out, d);
-        } else {
-            let run_band = &run_band;
-            std::thread::scope(|s| {
-                for (band, out, d) in work {
-                    s.spawn(move || run_band(band, out, d));
-                }
-            });
-        }
-        crate::ops::fold_partials(&self.row_diff2[1..rows - 1])
     }
 
-    /// One parallel checkerboard sweep, two phases. Per phase: snapshot
-    /// band-edge halo rows, update all bands concurrently in place, then
-    /// fold the phase's per-row partials ascending — the exact serial
-    /// order `phase-0 rows 1..n, phase-1 rows 1..n`.
-    fn step_checkerboard_parallel(&mut self) -> f64 {
-        let problem = self.problem;
-        let stencil = &problem.stencil;
-        let offset = &problem.offset;
-        let (rows, cols) = (self.cur.rows(), self.cur.cols());
-        if self.bands.is_empty() {
-            return 0.0;
+    fn engine_mut(&mut self) -> &mut dyn SolveEngine {
+        match &mut self.sweeps {
+            Sweeps::Serial(e) => e,
+            Sweeps::Banded(b) => b,
         }
-        let mut total = 0.0f64;
-        for parity in [0usize, 1] {
-            // Pre-phase halo snapshots: valid for the whole phase because
-            // a phase only writes its own parity and only reads the other.
-            for (k, band) in self.bands.iter().enumerate() {
-                self.halo_up[k].copy_from_slice(self.cur.row(band.start - 1));
-                self.halo_down[k].copy_from_slice(self.cur.row(band.end));
-            }
-            let prev = self.prev.as_ref();
-            let mut field_rem = &mut self.cur.as_mut_slice()[cols..(rows - 1) * cols];
-            let mut d_rem = &mut self.row_diff2[1..rows - 1];
-            #[allow(clippy::type_complexity)]
-            let mut work: Vec<(
-                core::ops::Range<usize>,
-                &mut [T],
-                &mut [f64],
-                &[T],
-                &[T],
-            )> = Vec::with_capacity(self.bands.len());
-            for (k, band) in self.bands.iter().enumerate() {
-                let h = band.len();
-                let tmp = core::mem::take(&mut field_rem);
-                let (chunk, rest) = tmp.split_at_mut(h * cols);
-                field_rem = rest;
-                let tmp = core::mem::take(&mut d_rem);
-                let (d, rest) = tmp.split_at_mut(h);
-                d_rem = rest;
-                work.push((band.clone(), chunk, d, &self.halo_up[k], &self.halo_down[k]));
-            }
-            let run_band = |band: core::ops::Range<usize>,
-                            chunk: &mut [T],
-                            d: &mut [f64],
-                            up_halo: &[T],
-                            down_halo: &[T]| {
-                let h = band.len();
-                for r in 0..h {
-                    let i = band.start + r;
-                    let b = crate::kernels::OffsetRow::for_row(offset, prev, i);
-                    let start = if (i + parity) % 2 == 1 { 1 } else { 2 };
-                    let (head, rest) = chunk.split_at_mut(r * cols);
-                    let (mid, tail) = rest.split_at_mut(cols);
-                    let up: &[T] = if r == 0 {
-                        up_halo
-                    } else {
-                        &head[(r - 1) * cols..]
-                    };
-                    let down: &[T] = if r + 1 == h { down_halo } else { &tail[..cols] };
-                    d[r] = crate::kernels::checkerboard_row(stencil, up, mid, down, b, start);
-                }
-            };
-            if work.len() == 1 {
-                let (band, chunk, d, hu, hd) = work.pop().expect("one band");
-                run_band(band, chunk, d, hu, hd);
-            } else {
-                let run_band = &run_band;
-                std::thread::scope(|s| {
-                    for (band, chunk, d, hu, hd) in work {
-                        s.spawn(move || run_band(band, chunk, d, hu, hd));
-                    }
-                });
-            }
-            total = crate::ops::fold_partials_from(total, &self.row_diff2[1..rows - 1]);
-        }
-        total
     }
 }
 
 impl<T: Scalar> SolveEngine for ParallelSweepEngine<'_, T> {
     fn step(&mut self) -> StepOutcome {
-        let problem = self.problem;
-        // Same ring re-pin as the serial engine: the wave rotation
-        // cycles `prev_initial`'s buffer in as the write target.
-        if self.uses_prev && matches!(self.method, UpdateMethod::Jacobi | UpdateMethod::Hybrid) {
-            refresh_boundary_ring(&mut self.next, &self.cur);
-        }
-        let diff2 = match self.method {
-            UpdateMethod::Jacobi => self.step_jacobi_parallel(),
-            UpdateMethod::Hybrid => sweep_hybrid(
-                &problem.stencil,
-                &problem.offset,
-                &self.cur,
-                self.prev.as_ref(),
-                &mut self.next,
-            ),
-            UpdateMethod::GaussSeidel | UpdateMethod::Checkerboard | UpdateMethod::Sor { .. } => {
-                if self.uses_prev {
-                    match &mut self.scratch {
-                        Some(s) => s.as_mut_slice().copy_from_slice(self.cur.as_slice()),
-                        None => self.scratch = Some(self.cur.clone()),
-                    }
+        self.engine_mut().step()
+    }
+
+    fn iterations(&self) -> usize {
+        self.engine().iterations()
+    }
+
+    fn supports_checkpoint(&self) -> bool {
+        true
+    }
+
+    fn checkpoint(&mut self) {
+        self.engine_mut().checkpoint();
+    }
+
+    fn rollback(&mut self) -> bool {
+        self.engine_mut().rollback()
+    }
+
+    fn export_state(&self) -> Option<EngineStateImage> {
+        self.engine().export_state()
+    }
+
+    fn restore_state(&mut self, image: &EngineStateImage) -> bool {
+        self.engine_mut().restore_state(image)
+    }
+}
+
+/// Row `r` of a row-major buffer `cols` wide.
+fn row_of<T>(buf: &[T], cols: usize, r: usize) -> &[T] {
+    &buf[r * cols..(r + 1) * cols]
+}
+
+/// One sweep phase, as a band worker runs it.
+#[derive(Clone, Copy, Debug)]
+enum Phase {
+    Jacobi,
+    /// One checkerboard colour: the points with `(i + j) % 2 == parity`.
+    Checkerboard(usize),
+}
+
+/// A band's view of the problem's offset term.
+#[derive(Debug)]
+enum StripOffset<T> {
+    None,
+    /// The strip's rows of a static offset field.
+    Static(Vec<T>),
+    /// `scale * U^{k-1}`, read from the strip's wave history.
+    ScaledPrev(T),
+}
+
+/// One band's share of the solve state: rows `band.start - 1 ..
+/// band.end + 1` (the band plus one halo row on each side) of every field
+/// its sweep touches, row-major. Strip row `r` is grid row
+/// `band.start - 1 + r`.
+#[derive(Debug)]
+struct Strip<T> {
+    band: core::ops::Range<usize>,
+    cur: Vec<T>,
+    /// The Jacobi write target.
+    next: Vec<T>,
+    /// The wave history `U^{k-1}`, when the problem carries one.
+    prev: Option<Vec<T>>,
+    /// The pre-sweep copy of `cur` that becomes `prev` after an in-place
+    /// (checkerboard) wave sweep.
+    scratch: Option<Vec<T>>,
+    offset: StripOffset<T>,
+    /// The last phase's diff² partial of each band row.
+    diff2: Vec<f64>,
+    /// Makes the worker that receives this strip panic.
+    #[cfg(test)]
+    poison: bool,
+}
+
+/// Row `r` of a strip's offset term.
+fn strip_offset_row<'a, T: Scalar>(
+    offset: &'a StripOffset<T>,
+    prev: Option<&'a [T]>,
+    cols: usize,
+    r: usize,
+) -> OffsetRow<'a, T> {
+    match offset {
+        StripOffset::None => OffsetRow::None,
+        StripOffset::Static(c) => OffsetRow::Static(row_of(c, cols, r)),
+        StripOffset::ScaledPrev(scale) => OffsetRow::Scaled {
+            scale: *scale,
+            prev: row_of(prev.expect("wave strips carry prev"), cols, r),
+        },
+    }
+}
+
+/// The kernel parameters every band shares, read-only on all threads.
+#[derive(Debug)]
+struct StripKernel<T> {
+    stencil: FivePointStencil<T>,
+    cols: usize,
+}
+
+impl<T: Scalar> StripKernel<T> {
+    /// Runs one phase over `strip`'s band rows, leaving each row's diff²
+    /// in `strip.diff2`. Halo rows are only read; after a Jacobi phase
+    /// (which rotates the buffers) they are stale until the engine
+    /// exchanges them.
+    fn sweep(&self, strip: &mut Strip<T>, phase: Phase) {
+        let cols = self.cols;
+        let Strip {
+            band,
+            cur,
+            next,
+            prev,
+            scratch,
+            offset,
+            diff2,
+            ..
+        } = strip;
+        let wave = matches!(offset, StripOffset::ScaledPrev(_));
+        let offset_row = |prev, r| strip_offset_row(offset, prev, cols, r);
+        match phase {
+            Phase::Jacobi => {
+                // Same ring re-pin as the serial engine: the wave rotation
+                // cycles the history buffer in as the write target.
+                if wave {
+                    refresh_boundary_ring(next, cur, cols);
                 }
-                let d = match self.method {
-                    UpdateMethod::GaussSeidel => sweep_gauss_seidel(
-                        &problem.stencil,
-                        &problem.offset,
-                        &mut self.cur,
-                        self.prev.as_ref(),
-                    ),
-                    UpdateMethod::Checkerboard => self.step_checkerboard_parallel(),
-                    UpdateMethod::Sor { omega } => sweep_sor(
-                        &problem.stencil,
-                        &problem.offset,
-                        &mut self.cur,
-                        self.prev.as_ref(),
-                        omega,
-                    ),
-                    _ => unreachable!("outer match restricts to in-place methods"),
-                };
-                if self.uses_prev {
-                    core::mem::swap(
-                        self.prev.as_mut().expect("checked in new"),
-                        self.scratch.as_mut().expect("filled above"),
+                for (r, d) in (1..=band.len()).zip(diff2.iter_mut()) {
+                    *d = jacobi_row(
+                        &self.stencil,
+                        row_of(cur, cols, r - 1),
+                        row_of(cur, cols, r),
+                        row_of(cur, cols, r + 1),
+                        offset_row(prev.as_deref(), r),
+                        &mut next[r * cols..(r + 1) * cols],
                     );
                 }
-                d
+                if wave {
+                    core::mem::swap(cur, prev.as_mut().expect("wave strips carry prev"));
+                }
+                core::mem::swap(cur, next);
             }
-        };
-
-        if matches!(self.method, UpdateMethod::Jacobi | UpdateMethod::Hybrid) {
-            if self.uses_prev {
-                core::mem::swap(&mut self.cur, self.prev.as_mut().expect("checked in new"));
+            Phase::Checkerboard(parity) => {
+                if let (0, Some(s)) = (parity, scratch.as_mut()) {
+                    s.copy_from_slice(cur);
+                }
+                for (r, d) in (1..=band.len()).zip(diff2.iter_mut()) {
+                    let i = band.start + r - 1;
+                    // First interior column of grid row `i` in this colour.
+                    let start = if (i + parity) % 2 == 1 { 1 } else { 2 };
+                    let b = offset_row(prev.as_deref(), r);
+                    let (up, mid, down) = tri_rows_mut(cur, cols, r);
+                    *d = checkerboard_row(&self.stencil, up, mid, down, b, start);
+                }
+                if let (1, Some(p), Some(s)) = (parity, prev.as_mut(), scratch.as_mut()) {
+                    core::mem::swap(p, s);
+                }
             }
-            core::mem::swap(&mut self.cur, &mut self.next);
         }
+    }
+}
 
+/// Jacobi or checkerboard over two or more strips, bands `1..` on
+/// [`BandWorkers`].
+#[derive(Debug)]
+struct BandedSweeps<T: Scalar> {
+    kernel: Arc<StripKernel<T>>,
+    phases: &'static [Phase],
+    rows: usize,
+    /// One strip per band, in band order. Between steps the engine holds
+    /// them all, so every state operation is a scatter or a gather.
+    strips: Vec<Strip<T>>,
+    /// Spawned on the first step.
+    workers: Option<BandWorkers<T>>,
+    iterations: usize,
+    saved: Option<EngineStateImage>,
+    /// The current field, gathered on demand; every step clears it.
+    gathered: OnceCell<Grid2D<T>>,
+}
+
+impl<T: Scalar> BandedSweeps<T> {
+    fn new(
+        problem: &StencilProblem<T>,
+        method: UpdateMethod,
+        bands: &[core::ops::Range<usize>],
+    ) -> Self {
+        let wave = uses_prev(problem);
+        let checkerboard = matches!(method, UpdateMethod::Checkerboard);
+        let cols = problem.initial.cols();
+        let strips = bands
+            .iter()
+            .map(|band| {
+                let window = |g: &Grid2D<T>| {
+                    g.as_slice()[(band.start - 1) * cols..(band.end + 1) * cols].to_vec()
+                };
+                Strip {
+                    band: band.clone(),
+                    cur: window(&problem.initial),
+                    next: window(&problem.initial),
+                    prev: problem.prev_initial.as_ref().map(window),
+                    scratch: (wave && checkerboard).then(|| window(&problem.initial)),
+                    offset: match &problem.offset {
+                        OffsetField::None => StripOffset::None,
+                        OffsetField::Static(c) => StripOffset::Static(window(c)),
+                        OffsetField::ScaledPrevField { scale } => StripOffset::ScaledPrev(*scale),
+                    },
+                    diff2: vec![0.0; band.len()],
+                    #[cfg(test)]
+                    poison: false,
+                }
+            })
+            .collect();
+        BandedSweeps {
+            kernel: Arc::new(StripKernel {
+                stencil: problem.stencil,
+                cols,
+            }),
+            phases: if checkerboard {
+                &[Phase::Checkerboard(0), Phase::Checkerboard(1)]
+            } else {
+                &[Phase::Jacobi]
+            },
+            rows: problem.initial.rows(),
+            strips,
+            workers: None,
+            iterations: 0,
+            saved: None,
+            gathered: OnceCell::new(),
+        }
+    }
+
+    fn solution(&self) -> &Grid2D<T> {
+        self.gathered.get_or_init(|| self.gather(|s| &s.cur))
+    }
+
+    /// One phase over every band, continuing the diff² fold from `acc`.
+    fn run_phase(&mut self, phase: Phase, acc: f64) -> f64 {
+        let kernel = &self.kernel;
+        let workers = self
+            .workers
+            .get_or_insert_with(|| BandWorkers::spawn(kernel, self.strips.len() - 1));
+        assert_eq!(
+            self.strips.len(),
+            workers.links.len() + 1,
+            "a band worker panicked in an earlier step; the engine's state is lost"
+        );
+        for (k, strip) in self.strips.drain(1..).enumerate() {
+            workers.send(k, strip, phase);
+        }
+        kernel.sweep(&mut self.strips[0], phase);
+        for k in 0..workers.links.len() {
+            self.strips.push(workers.receive(k));
+        }
+        self.exchange_halos();
+        self.strips
+            .iter()
+            .fold(acc, |acc, s| crate::ops::fold_partials_from(acc, &s.diff2))
+    }
+
+    /// Refreshes both halo rows at every band edge of `cur` from the
+    /// neighbouring band's edge row.
+    fn exchange_halos(&mut self) {
+        let cols = self.kernel.cols;
+        for k in 1..self.strips.len() {
+            let (above, below) = self.strips.split_at_mut(k);
+            let (above, below) = (&mut above[k - 1], &mut below[0]);
+            let h = above.band.len();
+            above.cur[(h + 1) * cols..].copy_from_slice(row_of(&below.cur, cols, 1));
+            below.cur[..cols].copy_from_slice(row_of(&above.cur, cols, h));
+        }
+    }
+
+    /// Assembles one field of every strip into a grid: each band's rows,
+    /// plus the first strip's top halo and the last strip's bottom halo,
+    /// which are the grid's boundary rows.
+    fn gather(&self, field: impl Fn(&Strip<T>) -> &[T]) -> Grid2D<T> {
+        let cols = self.kernel.cols;
+        let last = self.strips.len() - 1;
+        let mut data = Vec::with_capacity(self.rows * cols);
+        for (k, strip) in self.strips.iter().enumerate() {
+            let lo = usize::from(k != 0);
+            let hi = strip.band.len() + 1 + usize::from(k == last);
+            data.extend_from_slice(&field(strip)[lo * cols..hi * cols]);
+        }
+        Grid2D::from_vec(self.rows, cols, data)
+            .expect("the strips tile the grid unless a band worker panicked")
+    }
+
+    /// Scatters an image's current field and wave history into the
+    /// strips. `next` keeps its contents: a sweep rewrites its band rows
+    /// before they are read, and its boundary ring is the problem's.
+    /// Returns `false`, touching nothing, when the image does not fit.
+    fn load(&mut self, image: &EngineStateImage) -> bool {
+        let cols = self.kernel.cols;
+        let prev = image.prev_grid::<T>();
+        let fits = |g: &Grid2D<T>| g.rows() == self.rows && g.cols() == cols;
+        let Some(cur) = image.cur_grid::<T>().filter(fits) else {
+            return false;
+        };
+        if prev.is_some() != image.prev.is_some()
+            || prev.is_some() != self.strips[0].prev.is_some()
+            || !prev.as_ref().is_none_or(fits)
+        {
+            return false;
+        }
+        for strip in &mut self.strips {
+            let window = (strip.band.start - 1) * cols..(strip.band.end + 1) * cols;
+            strip.cur.copy_from_slice(&cur.as_slice()[window.clone()]);
+            if let (Some(dst), Some(src)) = (strip.prev.as_mut(), prev.as_ref()) {
+                dst.copy_from_slice(&src.as_slice()[window]);
+            }
+        }
+        self.iterations = image.iterations;
+        self.gathered.take();
+        true
+    }
+}
+
+impl<T: Scalar> SolveEngine for BandedSweeps<T> {
+    fn step(&mut self) -> StepOutcome {
+        self.gathered.take();
+        let phases = self.phases;
+        let diff2 = phases
+            .iter()
+            .fold(0.0, |acc, &phase| self.run_phase(phase, acc));
         self.iterations += 1;
         StepOutcome::clean(diff2.sqrt())
     }
@@ -1526,55 +1669,147 @@ impl<T: Scalar> SolveEngine for ParallelSweepEngine<'_, T> {
     }
 
     fn checkpoint(&mut self) {
-        self.saved = Some(SweepCheckpoint {
-            cur: self.cur.clone(),
-            next: self.next.clone(),
-            prev: self.prev.clone(),
-            iterations: self.iterations,
-        });
+        self.saved = self.export_state();
     }
 
     fn rollback(&mut self) -> bool {
-        match &self.saved {
-            Some(ckpt) => {
-                self.cur.as_mut_slice().copy_from_slice(ckpt.cur.as_slice());
-                self.next
-                    .as_mut_slice()
-                    .copy_from_slice(ckpt.next.as_slice());
-                match (&mut self.prev, &ckpt.prev) {
-                    (Some(dst), Some(src)) => dst.as_mut_slice().copy_from_slice(src.as_slice()),
-                    (dst, src) => *dst = src.clone(),
-                }
-                self.iterations = ckpt.iterations;
-                true
+        match self.saved.take() {
+            Some(image) => {
+                let ok = self.load(&image);
+                self.saved = Some(image);
+                ok
             }
             None => false,
         }
     }
 
     fn export_state(&self) -> Option<EngineStateImage> {
+        let prev = self.strips[0]
+            .prev
+            .is_some()
+            .then(|| self.gather(|s| s.prev.as_deref().expect("all strips carry prev")));
         Some(EngineStateImage::capture(
             self.iterations,
-            &self.cur,
-            self.prev.as_ref(),
+            self.solution(),
+            prev.as_ref(),
         ))
     }
 
     fn restore_state(&mut self, image: &EngineStateImage) -> bool {
-        // Bands, halos and the diff² buffer are per-sweep scratch that
-        // every step rebuilds; only the rotating field buffers carry
-        // state across iterations.
-        let ok = restore_sweep_state(
-            image,
-            &mut self.cur,
-            &mut self.next,
-            &mut self.prev,
-            &mut self.iterations,
-        );
+        let ok = self.load(image);
         if ok {
             self.saved = None;
         }
         ok
+    }
+}
+
+/// How long a waiting side polls its channel, yielding between polls,
+/// before it blocks. During a solve each side only waits for the other's
+/// band, so a short poll catches the strip without a sleep and wake-up
+/// (about 15 µs per round trip on a 2-vCPU Xeon VM, against 2 µs
+/// polling). Yielding rather than spinning leaves the core to the other
+/// side when both share one; an idle engine's workers poll once and
+/// then sleep.
+const POLL_BEFORE_BLOCKING: Duration = Duration::from_micros(50);
+
+/// Receives from `rx`, polling for [`POLL_BEFORE_BLOCKING`] first.
+fn recv_polling<M>(rx: &Receiver<M>) -> Result<M, mpsc::RecvError> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(message) => return Ok(message),
+            Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
+            Err(mpsc::TryRecvError::Empty) if start.elapsed() < POLL_BEFORE_BLOCKING => {
+                std::thread::yield_now();
+            }
+            Err(mpsc::TryRecvError::Empty) => return rx.recv(),
+        }
+    }
+}
+
+/// One persistent worker: its job and reply channels and its thread.
+#[derive(Debug)]
+struct WorkerLink<T> {
+    jobs: SyncSender<(Strip<T>, Phase)>,
+    done: Receiver<Strip<T>>,
+    handle: Option<JoinHandle<()>>,
+}
+
+/// The persistent threads of a [`BandedSweeps`]: worker `k` receives
+/// strip `k + 1` with the phase to run and sends it back swept.
+#[derive(Debug)]
+struct BandWorkers<T> {
+    links: Vec<WorkerLink<T>>,
+}
+
+impl<T: Scalar> BandWorkers<T> {
+    fn spawn(kernel: &Arc<StripKernel<T>>, count: usize) -> Self {
+        let links = (1..=count)
+            .map(|band| {
+                // At most one strip is in flight each way, so a one-slot
+                // channel never blocks a send and allocates only here.
+                let (jobs, job_rx) = mpsc::sync_channel::<(Strip<T>, Phase)>(1);
+                let (done_tx, done) = mpsc::sync_channel(1);
+                let kernel = Arc::clone(kernel);
+                let handle = std::thread::Builder::new()
+                    .name(format!("fdm-band-{band}"))
+                    .spawn(move || {
+                        while let Ok((mut strip, phase)) = recv_polling(&job_rx) {
+                            #[cfg(test)]
+                            assert!(!strip.poison, "injected band-worker panic");
+                            kernel.sweep(&mut strip, phase);
+                            if done_tx.send(strip).is_err() {
+                                break;
+                            }
+                        }
+                    })
+                    .expect("the OS refused to start a band worker thread");
+                WorkerLink {
+                    jobs,
+                    done,
+                    handle: Some(handle),
+                }
+            })
+            .collect();
+        BandWorkers { links }
+    }
+
+    fn send(&mut self, k: usize, strip: Strip<T>, phase: Phase) {
+        if self.links[k].jobs.send((strip, phase)).is_err() {
+            self.reraise(k);
+        }
+    }
+
+    fn receive(&mut self, k: usize) -> Strip<T> {
+        match recv_polling(&self.links[k].done) {
+            Ok(strip) => strip,
+            Err(_) => self.reraise(k),
+        }
+    }
+
+    /// Re-raises worker `k`'s panic on the calling thread. Only an
+    /// unwinding worker drops its channel ends while the engine lives, so
+    /// a disconnected channel means the thread is finished and the join
+    /// returns at once.
+    fn reraise(&mut self, k: usize) -> ! {
+        match self.links[k].handle.take().map(JoinHandle::join) {
+            Some(Err(payload)) => std::panic::resume_unwind(payload),
+            _ => panic!("band worker {k} stopped without returning its strip"),
+        }
+    }
+}
+
+impl<T> Drop for BandWorkers<T> {
+    fn drop(&mut self) {
+        // Closing the job channels is the stop signal; close them all
+        // before the first join.
+        let handles: Vec<_> = self.links.drain(..).filter_map(|l| l.handle).collect();
+        for handle in handles {
+            // A worker's panic was already re-raised by `step`, and a
+            // second panic here would abort.
+            let _ = handle.join();
+        }
     }
 }
 
@@ -1761,6 +1996,95 @@ mod tests {
         assert!(engine.rollback());
         assert_eq!(engine.solution(), &at_ckpt);
         assert_eq!(engine.iterations(), 3);
+    }
+
+    fn banded<'e>(engine: &'e mut ParallelSweepEngine<'_, f64>) -> &'e mut BandedSweeps<f64> {
+        match &mut engine.sweeps {
+            Sweeps::Banded(b) => b,
+            Sweeps::Serial(_) => panic!("expected a banded plan"),
+        }
+    }
+
+    fn worker_ids(engine: &mut ParallelSweepEngine<'_, f64>) -> Vec<std::thread::ThreadId> {
+        banded(engine).workers.as_ref().map_or(Vec::new(), |w| {
+            w.links
+                .iter()
+                .filter_map(|l| l.handle.as_ref())
+                .map(|h| h.thread().id())
+                .collect()
+        })
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn band_workers_start_on_the_first_step_and_persist() {
+        let sp = laplace(12);
+        let mut engine = ParallelSweepEngine::new(&sp, UpdateMethod::Jacobi, 3);
+        assert!(
+            worker_ids(&mut engine).is_empty(),
+            "construction spawns nothing"
+        );
+        drop(engine);
+
+        let mut engine = ParallelSweepEngine::new(&sp, UpdateMethod::Checkerboard, 3);
+        engine.step();
+        let first = worker_ids(&mut engine);
+        assert_eq!(first.len(), 2, "one worker per band beyond the first");
+        for _ in 0..4 {
+            engine.step();
+        }
+        assert_eq!(
+            worker_ids(&mut engine),
+            first,
+            "steps reuse the same threads"
+        );
+    }
+
+    #[test]
+    fn band_workers_are_joined_on_drop() {
+        let sp = laplace(10);
+        let cycles = if cfg!(miri) { 8 } else { 200 };
+        for _ in 0..cycles {
+            let mut engine = ParallelSweepEngine::new(&sp, UpdateMethod::Jacobi, 3);
+            engine.step();
+            let kernel = Arc::clone(&banded(&mut engine).kernel);
+            assert_eq!(
+                Arc::strong_count(&kernel),
+                4,
+                "engine, two workers, this test"
+            );
+            drop(engine);
+            // Each worker holds its kernel clone until its thread ends, so
+            // only a join in `Drop` leaves this the last one.
+            assert_eq!(Arc::strong_count(&kernel), 1);
+        }
+    }
+
+    #[test]
+    fn band_workers_reraise_a_panic_on_the_caller() {
+        let sp = laplace(12);
+        for method in [UpdateMethod::Jacobi, UpdateMethod::Checkerboard] {
+            let mut engine = ParallelSweepEngine::new(&sp, method, 3);
+            engine.step();
+            banded(&mut engine).strips[2].poison = true;
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.step()))
+                .expect_err("the worker's panic must reach the caller");
+            assert_eq!(panic_message(&*payload), "injected band-worker panic");
+
+            // The lost strip makes every later step refuse, not wait.
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.step()))
+                .expect_err("a broken engine must not step");
+            assert!(panic_message(&*payload).contains("panicked in an earlier step"));
+            // Dropping joins the surviving worker without a second panic.
+            drop(engine);
+        }
     }
 
     #[test]
@@ -2089,6 +2413,12 @@ mod tests {
             .unwrap();
         f32_image.scalar_bytes = 4;
         assert!(!engine.restore_state(&f32_image), "wrong width must refuse");
+
+        // The banded engine scatters only images that fit its strips.
+        let mut banded = ParallelSweepEngine::new(&sp, UpdateMethod::Jacobi, 3);
+        assert!(!banded.restore_state(&image), "wrong shape must refuse");
+        assert!(!banded.restore_state(&f32_image), "wrong width must refuse");
+        assert_eq!(banded.iterations(), 0);
 
         // The image helpers mirror the same checks.
         assert!(image.cur_grid::<f64>().is_some());

@@ -7,17 +7,20 @@
 //! every benchmark PDE family, both working precisions, random grid
 //! shapes including the degenerate single-interior-row/column cases,
 //! and thread counts that divide the interior evenly, unevenly, and
-//! not at all.
+//! not at all. A second pass interleaves the engines' state operations
+//! (checkpoint/rollback, export/restore into a fresh engine, `solution()`
+//! reads) with the steps, since the parallel engine keeps its state in
+//! per-band strips that those operations scatter and gather.
 
 use detrng::DetRng;
-use fdm::engine::{ParallelSweepEngine, SolveEngine, SweepEngine};
+use fdm::engine::{ParallelSweepEngine, SolveEngine, StepOutcome, SweepEngine};
 use fdm::grid::Grid2D;
 use fdm::pde::{OffsetField, PdeKind, RunMode, StencilProblem};
 use fdm::precision::Scalar;
 use fdm::solver::UpdateMethod;
 use fdm::stencil::FivePointStencil;
 
-const THREADS: [usize; 4] = [1, 2, 4, 7];
+const THREADS: [usize; 6] = [1, 2, 3, 4, 5, 7];
 const METHODS: [UpdateMethod; 2] = [UpdateMethod::Jacobi, UpdateMethod::Checkerboard];
 const KINDS: [PdeKind; 4] = [
     PdeKind::Laplace,
@@ -107,16 +110,81 @@ fn check_lockstep<T: Scalar>(sp: &StencilProblem<T>, method: UpdateMethod, threa
             sp.initial.rows(),
             sp.initial.cols()
         );
-        match (s.norm, p.norm) {
-            (Some(sn), Some(pn)) => {
-                assert_eq!(sn.to_bits(), pn.to_bits(), "{what}: norm {sn} vs {pn}");
-            }
-            (s, p) => panic!("{what}: norm presence mismatch: {s:?} vs {p:?}"),
-        }
+        assert_norms_bit_identical(s, p, &what);
         assert_grids_bit_identical(serial.solution(), parallel.solution(), &what);
     }
     assert_eq!(serial.iterations(), steps);
     assert_eq!(parallel.iterations(), steps);
+}
+
+fn assert_norms_bit_identical(s: StepOutcome, p: StepOutcome, what: &str) {
+    match (s.norm, p.norm) {
+        (Some(sn), Some(pn)) => assert_eq!(sn.to_bits(), pn.to_bits(), "{what}: norm {sn} vs {pn}"),
+        (s, p) => panic!("{what}: norm presence mismatch: {s:?} vs {p:?}"),
+    }
+}
+
+/// Drives both engines through one DetRng-chosen sequence of steps and
+/// state operations, asserting bit-identical norms after every step,
+/// identical fields wherever `solution()` is read and identical exported
+/// images (current field *and* wave history) at the end.
+fn check_interleaved<T: Scalar>(
+    rng: &mut DetRng,
+    sp: &StencilProblem<T>,
+    method: UpdateMethod,
+    threads: usize,
+) {
+    let mut serial = SweepEngine::new(sp, method);
+    let mut parallel = ParallelSweepEngine::new(sp, method, threads);
+    let mut ops = Vec::new();
+    for op in 0..24 {
+        let what = format!(
+            "{:?} {method:?} {}x{} threads={threads} op={op}",
+            sp.kind,
+            sp.initial.rows(),
+            sp.initial.cols()
+        );
+        match rng.gen_range(0, 10) {
+            0 => {
+                ops.push("checkpoint");
+                serial.checkpoint();
+                parallel.checkpoint();
+            }
+            1 => {
+                ops.push("rollback");
+                assert_eq!(serial.rollback(), parallel.rollback(), "{what}: rollback");
+            }
+            2 => {
+                ops.push("export/restore");
+                let image = serial.export_state().expect("serial engines export");
+                let par_image = parallel.export_state().expect("parallel engines export");
+                assert_eq!(image, par_image, "{what}: exported images");
+                serial = SweepEngine::new(sp, method);
+                parallel = ParallelSweepEngine::new(sp, method, threads);
+                assert!(serial.restore_state(&image), "{what}: serial restore");
+                assert!(
+                    parallel.restore_state(&par_image),
+                    "{what}: parallel restore"
+                );
+            }
+            3 => {
+                ops.push("solution");
+                assert_grids_bit_identical(serial.solution(), parallel.solution(), &what);
+            }
+            _ => {
+                ops.push("step");
+                assert_norms_bit_identical(serial.step(), parallel.step(), &what);
+            }
+        }
+        assert_eq!(
+            serial.iterations(),
+            parallel.iterations(),
+            "{what}: {ops:?}"
+        );
+    }
+    let what = format!("{:?} {method:?} threads={threads} after {ops:?}", sp.kind);
+    assert_grids_bit_identical(serial.solution(), parallel.solution(), &what);
+    assert_eq!(serial.export_state(), parallel.export_state(), "{what}");
 }
 
 fn run_shape_sweep<T: Scalar>(rng: &mut DetRng) {
@@ -151,6 +219,26 @@ fn parallel_sweeps_are_bit_identical_to_serial_f32() {
     let mut rng = DetRng::seed_from_u64(0xFD_AC_5E_02);
     for _ in 0..3 {
         run_shape_sweep::<f32>(&mut rng);
+    }
+}
+
+/// Interleaved state operations keep the parallel engine in bitwise
+/// lockstep with the serial one: every PDE family (the wave equation's
+/// history included), both parity-free methods, uneven bands at 1..=5
+/// threads, both precisions.
+#[test]
+fn interleaved_state_operations_stay_bit_identical() {
+    let mut rng = DetRng::seed_from_u64(0xFD_AC_5E_04);
+    for kind in KINDS {
+        let (rows, cols) = (rng.gen_range(8, 30), rng.gen_range(3, 30));
+        let sp64: StencilProblem<f64> = random_problem(&mut rng, kind, rows, cols);
+        let sp32: StencilProblem<f32> = random_problem(&mut rng, kind, rows, cols);
+        for method in METHODS {
+            for threads in 1..=5 {
+                check_interleaved(&mut rng, &sp64, method, threads);
+                check_interleaved(&mut rng, &sp32, method, threads);
+            }
+        }
     }
 }
 
